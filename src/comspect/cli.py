@@ -5,9 +5,12 @@ verify.  All outputs are canonical JSON (sorted keys, 17-significant-digit
 floats) so a fixed invocation is byte-reproducible.  Exit codes: 0 success,
 1 verify found violations, 2 malformed input, 3 numerical failure.
 
-Heavy imports happen inside the handlers so the thread cap from the
-COMSPECT_THREADS environment variable can be applied before the numerics
-libraries initialize.
+Heavy imports happen inside the handlers, and the package exports resolve
+lazily, so ``python -m comspect.cli`` starts with none of numpy, scipy or
+mpmath loaded.  ``main`` therefore applies the thread cap from the
+COMSPECT_THREADS environment variable before numpy's first import, and each
+subcommand loads only the libraries it uses (``spectrum`` and
+``verify --list`` never import scipy or mpmath).
 """
 
 from __future__ import annotations

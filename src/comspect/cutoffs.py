@@ -13,11 +13,11 @@ piece, O(1) evaluation) and extended affinely beyond 1 where psi'' vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy import integrate, optimize
 
 from .errors import NumericalError
 
@@ -100,6 +100,31 @@ class SmoothStep:
         return out if out.ndim else float(out)
 
 
+def _psi_second_scalar(x: float) -> float:
+    """psi''(x) = e^x (|phi''(x)| + 2|phi'(x)|) of the canonical step at one float.
+
+    Plain-``math`` evaluation of the same bump-quotient formulas as
+    ``SmoothStep.d1``/``d2``, written out separately so the quadrature
+    self-check tests the interpolants against an independent implementation
+    (and so ``quad``'s thousands of point callbacks skip numpy's 0-d array
+    overhead).  Zero outside (0, 1), where phi is constant.
+    """
+    if not 0.0 < x < 1.0:
+        return 0.0
+    c = 1.0 - x
+    bx, bc = math.exp(-1.0 / x), math.exp(-1.0 / c)
+    # b'(t) = b/t^2 and b''(t) = b(1-2t)/t^4, taken as 0 where b underflowed
+    b1x = bx / x**2 if bx > 0 else 0.0
+    b1c = bc / c**2 if bc > 0 else 0.0
+    b2x = bx * (1.0 - 2.0 * x) / x**4 if bx > 0 else 0.0
+    b2c = bc * (1.0 - 2.0 * c) / c**4 if bc > 0 else 0.0
+    d = bx + bc
+    n1 = b1x * bc + bx * b1c
+    d1 = n1 / d**2
+    d2 = (b2x * bc - bx * b2c) / d**2 - 2.0 * n1 * (b1x - b1c) / d**3
+    return math.exp(x) * (abs(d2) + 2.0 * abs(d1))
+
+
 def make_phi() -> SmoothStep:
     """The smooth step: 0 below 0, 1 above 1, nondecreasing, C-infinity."""
     return SmoothStep()
@@ -123,6 +148,8 @@ class ConvexCorrector:
     [0, 1], and affine continuation (slope psi'(1)) beyond 1."""
 
     def __init__(self, phi: SmoothStep, tol: float = 1e-12):
+        from scipy import optimize
+
         self._phi = phi
 
         def second(x):
@@ -160,12 +187,15 @@ class ConvexCorrector:
         self._self_check(tol=1e-10, cuts=cuts)
 
     def _self_check(self, tol: float, cuts) -> None:
-        """Compare the interpolants against direct adaptive quadrature."""
+        """Compare the interpolants against direct adaptive quadrature of the
+        scalar integrand."""
+        from scipy import integrate
+
         pts = [c for c in cuts if 0 < c < 1]
         for x in (0.25, 0.5, 0.75, 1.0):
-            d1_ref, _ = integrate.quad(self.second, 0.0, x, points=pts, limit=200)
+            d1_ref, _ = integrate.quad(_psi_second_scalar, 0.0, x, points=pts, limit=200)
             ref, _ = integrate.quad(
-                lambda t: self.second(t) * (x - t), 0.0, x, points=pts, limit=200
+                lambda t: _psi_second_scalar(t) * (x - t), 0.0, x, points=pts, limit=200
             )
             if abs(d1_ref - self.d1(x)) > tol * (1 + abs(d1_ref)) or abs(
                 ref - self(x)

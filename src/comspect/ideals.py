@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from scipy.special import gammaln
 
 from .sequences import (
     FactorialPowerTail,
@@ -192,6 +190,8 @@ class EigenLaw:
             if self.alternating:
                 return self.c * self.q / (1 + self.q)
             return self.c * self.q / (1 - self.q)
+        import mpmath
+
         if self.alternating:
             return self.c * float(mpmath.altzeta(self.a))
         if self.a > 1:
@@ -240,10 +240,12 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
             return CesaroSequence(prefix, None, True)
         return CesaroSequence(prefix, PowerTail(abs(total), 1.0), True)
     if isinstance(lam, EigenLaw):
+        # taken before the 10^6-term prefix arrays exist: importing mpmath on
+        # first use while they were alive raised the peak RSS by ~14 MB
+        limit = lam.partial_sum_limit()
         vals = lam.prefix_values(prefix_length)
         sums = np.cumsum(vals)
         prefix = np.abs(sums) / np.arange(1, prefix_length + 1)
-        limit = lam.partial_sum_limit()
         if limit is not None:
             return CesaroSequence(prefix, PowerTail(abs(limit), 1.0), False)
         # positive power law with a <= 1: partial sums diverge
@@ -435,6 +437,8 @@ def check_geometric_stability(
     dominates t up to the factor 2^theta n^theta (n!)^(-theta/n) <= (2e)^theta,
     and the empirical sup t_n/u_n is reported alongside the proof bound.
     """
+    from scipy.special import gammaln
+
     verdict_in = membership(s, ideal)
     if not verdict_in.is_in:
         raise ValueError("geometric stability requires membership of the input")

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, zeta as hurwitz_zeta
 
 __all__ = [
     "PowerTail",
@@ -30,6 +29,20 @@ __all__ = [
 ]
 
 ROUND_DIGITS = 12
+
+
+def gammaln(x):
+    """scipy.special.gammaln, imported on the first call.
+
+    scipy.special takes about 0.3 s to import and most commands never reach
+    a tail law that needs it.  The import rebinds this module-level name to
+    the ufunc itself, so later calls (hundreds of thousands in an alpha scan)
+    pay nothing for the deferral.
+    """
+    global gammaln
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def round_sig(x, digits: int = ROUND_DIGITS):
@@ -89,6 +102,8 @@ class PowerTail:
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
+        from scipy.special import zeta as hurwitz_zeta
+
         return self.c**p * float(hurwitz_zeta(self.a * p, start + 1))
 
     def weak_sup(self, p: float, start: int) -> float:
@@ -197,6 +212,8 @@ class FactorialPowerTail:
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
+        from scipy.special import zeta as hurwitz_zeta
+
         # value <= c * (e/m)^a, so bound via the Hurwitz zeta of the majorant
         m = np.arange(start + 1, start + 100001, dtype=float)
         head = float(np.sum(self.value_at(m) ** p))

@@ -138,11 +138,24 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _finite_float(value, field: str, index: int | None = None) -> float:
+    """float(value), rejecting JSON's NaN and +-Infinity literals and integers
+    beyond the float range with the field's name."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if math.isfinite(x):
+        return x
+    where = f"field {field!r}" if index is None else f"{field}[{index}]"
+    raise SchemaError(f"{where} must be finite")
+
+
 def _float_field(doc: dict, name: str) -> float:
     value = _require(doc, name)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field {name!r} must be a number")
-    return float(value)
+    return _finite_float(value, name)
 
 
 def scalar_sequence_from_json(doc) -> ScalarSequence:
@@ -153,7 +166,9 @@ def scalar_sequence_from_json(doc) -> ScalarSequence:
     if kind == "finite":
         values = _require(doc, "values", list)
         try:
-            arr = np.asarray([float(v) for v in values], dtype=float)
+            arr = np.asarray(
+                [_finite_float(v, "values", i) for i, v in enumerate(values)], dtype=float
+            )
         except (TypeError, ValueError) as exc:
             raise SchemaError("field 'values' holds non-numeric data") from exc
         try:
@@ -193,9 +208,13 @@ def eigen_input_from_json(doc):
             if isinstance(item, list):
                 if len(item) != 2:
                     raise SchemaError(f"values[{i}] must be a [re, im] pair")
-                vals[i] = complex(float(item[0]), float(item[1]))
+                try:
+                    real, imag = (_finite_float(part, "values", i) for part in item)
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"values[{i}] holds non-numeric data") from exc
+                vals[i] = complex(real, imag)
             elif isinstance(item, (int, float)) and not isinstance(item, bool):
-                vals[i] = complex(float(item))
+                vals[i] = complex(_finite_float(item, "values", i))
             else:
                 raise SchemaError(f"values[{i}] holds non-numeric data")
         return EigenSequence.from_values(vals)

@@ -159,6 +159,106 @@ class TestExitCodes:
         assert r.returncode == 0
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["criterion", "stability"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"kind": "finite", "values": [NaN, 1]}', b"values[0] must be finite"),
+            ('{"kind": "finite", "values": [2, -Infinity]}', b"values[1] must be finite"),
+            ('{"kind": "power", "c": NaN, "a": 2}', b"field 'c' must be finite"),
+            ('{"kind": "geometric", "c": 1, "q": Infinity}', b"field 'q' must be finite"),
+            ('{"kind": "power", "c": 1' + "0" * 400 + ', "a": 2}', b"field 'c' must be finite"),
+        ],
+        ids=["nan-value", "minus-inf-value", "nan-c", "inf-q", "int-beyond-float-c"],
+    )
+    def test_field_diagnostic(self, tmp_path, command, doc, message):
+        path = tmp_path / "seq.json"
+        path.write_text(doc)
+        r = _run([command, "-i", str(path), "--ideal", "schatten:p=1"])
+        assert r.returncode == 2
+        assert message in r.stderr
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [("[[1, 0], [0, NaN]]", b"values[1] must be finite"), ("[[null, 0]]", b"values[0] holds non-numeric data")],
+    )
+    def test_eigenvalue_pair(self, tmp_path, values, message):
+        path = tmp_path / "eig.json"
+        path.write_text('{"kind": "finite", "values": %s}' % values)
+        r = _run(["criterion", "-i", str(path), "--ideal", "schatten:p=1"])
+        assert r.returncode == 2
+        assert message in r.stderr
+
+
+# Runs `python -m comspect.cli <args>` in-process and reports, as the last
+# line of stderr, which numerics packages got imported and the value of
+# OPENBLAS_NUM_THREADS at numpy's first import.
+_IMPORT_PROBE = """
+import json, os, runpy, sys
+
+class NumpyWatch:
+    blas = "numpy never imported"
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and NumpyWatch.blas == "numpy never imported":
+            NumpyWatch.blas = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+sys.meta_path.insert(0, NumpyWatch())
+try:
+    runpy.run_module("comspect.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in ("numpy", "scipy", "mpmath") if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded, "blas": NumpyWatch.blas}), file=sys.stderr)
+"""
+
+
+def _probe_cli(args):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["COMSPECT_THREADS"] = "1"
+    r = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True, env=env, cwd=PKG_DIR
+    )
+    return json.loads(r.stderr.decode().strip().splitlines()[-1])
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("stmt", ["import comspect", "import comspect.cli"])
+    def test_package_import_loads_no_numerics(self, stmt):
+        code = f"{stmt}; import sys; print([m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules])"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == b"[]"
+
+    def test_verify_list_skips_scipy_and_mpmath(self):
+        report = _probe_cli(["verify", "--suite", "weyl", "--list"])
+        assert report["code"] == 0
+        assert "scipy" not in report["loaded"] and "mpmath" not in report["loaded"]
+
+    def test_spectrum_skips_scipy_and_mpmath_and_caps_threads_first(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 0], [2, 0], [0, 0], [3, 0]]}))
+        report = _probe_cli(["spectrum", "-i", str(path)])
+        assert report["code"] == 0
+        assert report["loaded"] == ["numpy"]
+        assert report["blas"] == "1"
+
+    def test_every_export_resolves(self):
+        import importlib
+
+        import comspect
+
+        assert set(comspect.__all__) <= set(dir(comspect))
+        for name in comspect.__all__:
+            exec(f"from comspect import {name}", {})
+            owner = importlib.import_module(getattr(comspect, name).__module__)
+            assert getattr(owner, name) is getattr(comspect, name)
+        with pytest.raises(ImportError):
+            exec("from comspect import no_such_name", {})
+
+
 class TestDeterminism:
     def test_verify_bytes_stable(self):
         args = ["verify", "--suite", "lemma2_3", "--trials", "80", "--seed", "7"]

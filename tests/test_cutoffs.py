@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from comspect.cutoffs import (
+    _psi_second_scalar,
     c1_constant,
     eval_g,
     eval_h,
     laplacian_grid_check,
     make_phi,
+    make_psi,
 )
+from comspect.errors import NumericalError
 
 
 class TestSmoothStep:
@@ -80,6 +83,33 @@ class TestConvexCorrector:
         ys = rng.uniform(-1, 3, 500)
         mids = pair.psi((xs + ys) / 2)
         assert np.all(mids <= (pair.psi(xs) + pair.psi(ys)) / 2 + 1e-10)
+
+
+class TestSelfCheck:
+    def test_scalar_integrand_matches_vector(self, pair):
+        near = np.array([1e-3, 1e-4, 1e-5, 1e-6])
+        xs = np.concatenate([
+            np.linspace(-0.5, 1.5, 2001),
+            near, 0.5 - near, 0.5 + near, 1.0 - near,
+            [-1.0, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 2.0],
+        ])
+        vec = pair.psi.second(xs)
+        sca = np.array([_psi_second_scalar(float(x)) for x in xs])
+        assert np.all(np.abs(sca - vec) <= 1e-14 * np.abs(vec))
+        outside = (xs <= 0.0) | (xs >= 1.0)
+        assert np.all(vec[outside] == 0.0) and np.all(sca[outside] == 0.0)
+
+    @pytest.mark.parametrize("which", [2, 3])  # the value and the slope interpolant
+    def test_perturbed_piece_fails_the_check(self, which):
+        psi = make_psi(make_phi())
+        cuts = [piece[0] for piece in psi._pieces] + [1.0]
+        psi._self_check(tol=1e-10, cuts=cuts)
+        k = next(i for i, (lo, hi, _, _) in enumerate(psi._pieces) if lo <= 0.5 < hi)
+        piece = list(psi._pieces[k])
+        piece[which] = piece[which] + 1e-8
+        psi._pieces[k] = tuple(piece)
+        with pytest.raises(NumericalError):
+            psi._self_check(tol=1e-10, cuts=cuts)
 
 
 class TestC1Constant:
