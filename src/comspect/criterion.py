@@ -33,8 +33,10 @@ from .ideals import (
     cesaro_membership,
     cesaro_sequence,
     max_envelope,
+    net_total,
 )
 from .sequences import (
+    BLOCK,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
@@ -113,42 +115,57 @@ def witness_3_to_4(t: ScalarSequence) -> ScalarSequence:
 
 
 def _chi_data(lam: EigenSequence):
-    """Rounded moduli (nonincreasing), cumulative sums, and the total."""
-    mods = round_sig(lam.moduli)
-    csum = np.cumsum(lam.values) if lam.values.size else np.zeros(0, complex)
-    scale = float(np.sum(lam.moduli))
-    total = abs(complex(csum[-1])) if csum.size else 0.0
-    if scale > 0 and total <= 1e-12 * scale:
-        total = 0.0
-    return mods, csum, total
+    """The rounded moduli (ascending), |partial sums| indexed by the number of
+    included values (0 first), and the total (0 when the values cancel)."""
+    sums = lam.partial_sums()
+    levels = np.sort(round_sig(lam.moduli))
+    # Python's abs: numpy's complex abs differs from it in the last bit
+    partial_abs = np.array([0.0] + [abs(z) for z in sums.tolist()])
+    return levels, partial_abs, net_total(sums, lam.moduli)
 
 
-def _chi_abs(mods: np.ndarray, csum: np.ndarray, alpha: float) -> float:
-    """|chi(alpha lambda)| / alpha: modulus of the included partial sum."""
-    if alpha <= 0 or mods.size == 0:
-        return 0.0
-    thr = round_sig(1.0 / alpha)
-    m = int(np.count_nonzero(mods >= thr))
-    return abs(complex(csum[m - 1])) if m else 0.0
+def _chi_abs(levels: np.ndarray, partial_abs: np.ndarray, alpha):
+    """|chi(alpha lambda)| / alpha: modulus of the included partial sum
+    (scalar or 1-D alpha > 0)."""
+    included = levels.size - np.searchsorted(levels, round_sig(1.0 / alpha))
+    return partial_abs[included]
 
 
-def _alpha_grid(mods: np.ndarray, t: ScalarSequence, alpha_cap: float) -> list[float]:
-    """All breakpoints of both sides up to alpha_cap, sorted ascending."""
-    pts = {1.0 / m for m in np.unique(mods) if m > 0}
-    for v in np.unique(round_sig(t.prefix)):
-        if v > 0:
-            pts.add(1.0 / v)
+def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None):
+    """All breakpoints of both sides up to alpha_cap, sorted ascending.
+
+    Returns (grid, base_cap, alpha_cap): base_cap is the largest finite
+    breakpoint (1/min of the rounded moduli and witness entries), alpha_cap
+    twice the largest of base_cap, alpha_star and 1.  The tail's breakpoints
+    are enumerated in blocks up to alpha_cap.
+    """
+    finite = np.concatenate([levels, t.rounded_levels])
+    with np.errstate(over="ignore"):
+        finite = 1.0 / finite[finite > 0]
+    # no float alpha reaches the reciprocal of a subnormal
+    finite = finite[np.isfinite(finite)]
+    base_cap = float(finite.max()) if finite.size else 1.0
+    alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
+    parts = [finite]
     if t.tail is not None:
-        m = t.base_length + 1
-        while m <= t.base_length + _MAX_TAIL_BREAKPOINTS:
-            v = float(np.asarray(t.tail.value_at(m)))
-            if v <= 0 or 1.0 / v > alpha_cap:
+        lo = t.base_length + 1
+        end = lo + _MAX_TAIL_BREAKPOINTS
+        size = 256  # doubling up to BLOCK: most witnesses have few tail breakpoints
+        while lo < end:
+            v = np.asarray(t.tail.value_at(np.arange(lo, min(lo + size, end), dtype=float)))
+            with np.errstate(divide="ignore"):
+                pts = 1.0 / v
+            beyond = (v <= 0) | (pts > alpha_cap)
+            if beyond.any():
+                parts.append(pts[: beyond.argmax()])
                 break
-            pts.add(1.0 / v)
-            m += 1
+            parts.append(pts)
+            lo, size = lo + size, min(2 * size, BLOCK)
         else:
             raise NumericalError("tail breakpoint enumeration exceeded its cap")
-    return sorted(p for p in pts if p <= alpha_cap) or [1.0]
+    grid = np.unique(np.concatenate(parts))
+    grid = grid[grid <= alpha_cap]
+    return (grid if grid.size else np.ones(1)), base_cap, alpha_cap
 
 
 def _tail_slope_state(t: ScalarSequence, total: float):
@@ -204,43 +221,38 @@ def _find_failure(lhs_fn, rhs_fn, start: float, tol: float) -> float | None:
 
 
 def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> ConditionCheck:
-    """Shared exact scan for conditions (4) (counting side) and (5) (log side)."""
-    mods, csum, total = _chi_data(lam)
+    """Shared exact scan for conditions (4) (counting side) and (5) (log side).
+
+    Both sides are evaluated over the whole breakpoint grid at once.
+    """
+    levels, partial_abs, total = _chi_data(lam)
     state, alpha_star = _tail_slope_state(t, total)
 
-    def rhs(alpha: float) -> float:
+    def rhs(alpha):
         if use_mu:
             return t.sum_plog(alpha)
-        return float(t.count_ge(1.0 / alpha))
+        return np.asarray(t.count_ge(1.0 / alpha), dtype=float)[()]  # a scalar for a scalar
 
-    def lhs(alpha: float) -> float:
-        return alpha * _chi_abs(mods, csum, alpha)
+    def lhs(alpha):
+        return alpha * _chi_abs(levels, partial_abs, alpha)
 
-    finite_bps = [1.0 / m for m in np.unique(mods) if m > 0]
-    for v in np.unique(round_sig(t.prefix)):
-        if v > 0:
-            finite_bps.append(1.0 / v)
-    base_cap = max(finite_bps, default=1.0)
-    alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
-
-    grid = _alpha_grid(mods, t, alpha_cap)
-    worst = 0.0
-    failing = None
-    holds = True
-    for i, b in enumerate(grid):
-        sum_abs = _chi_abs(mods, csum, b)
-        right = rhs(b)
-        b_next = grid[i + 1] if i + 1 < len(grid) else alpha_cap
-        # the left side is linear on [b, b_next): its supremum is the right
-        # limit; the log side is continuous and the margin concave on the
-        # interval, so the two endpoint checks are exhaustive
-        checks = [(b * sum_abs, right)]
-        checks.append((b_next * sum_abs, rhs(b_next) if use_mu else right))
-        for left, right_val in checks:
-            worst = max(worst, left / max(right_val, 1.0))
-            if left > right_val + _SLACK * (1.0 + right_val):
-                holds = False
-                failing = failing if failing is not None else b
+    grid, base_cap, alpha_cap = _alpha_grid(levels, t, alpha_star)
+    grid_next = np.append(grid[1:], alpha_cap)
+    sum_abs = _chi_abs(levels, partial_abs, grid)
+    # the left side is linear on [b, b_next): its supremum is the right
+    # limit; the log side is continuous and the margin concave on the
+    # interval, so the two endpoint checks are exhaustive
+    if use_mu:
+        right_all = rhs(np.append(grid, alpha_cap))
+        right, right_next = right_all[:-1], right_all[1:]
+    else:
+        right = right_next = rhs(grid)
+    left, left_next = grid * sum_abs, grid_next * sum_abs
+    ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
+    worst = float(np.fmax.reduce(ratios, initial=0.0))  # skips nan, as max(worst, r) did
+    fails = (left > right + _SLACK * (1.0 + right)) | (left_next > right_next + _SLACK * (1.0 + right_next))
+    holds = not fails.any()
+    failing = None if holds else float(grid[fails.argmax()])
     if holds and state == "fail":
         # every finite breakpoint passed but the right side eventually loses
         holds = False
@@ -255,7 +267,7 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
         if lhs(alpha_cap) > edge_rhs + _SLACK * (1.0 + edge_rhs):
             holds = False
             failing = alpha_cap
-    return ConditionCheck(holds, worst, len(grid), failing)
+    return ConditionCheck(holds, worst, int(grid.size), failing)
 
 
 def condition4_check(lam: EigenSequence, t: ScalarSequence) -> ConditionCheck:
@@ -287,13 +299,8 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     means = np.zeros(horizon)
     if sums.size:
         means[: sums.size] = np.abs(sums) / np.arange(1, sums.size + 1)
-        total = abs(complex(sums[-1]))
-        if total <= 1e-12 * (float(np.sum(mods)) or 1.0):
-            total = 0.0
-        tail_ns = ns[sums.size :]
-        means[sums.size :] = total / tail_ns
-    else:
-        total = 0.0
+    total = net_total(sums, mods)
+    means[sums.size :] = total / ns[sums.size :]
     viol = means > 2.0 * t_vals * (1 + 1e-12) + 1e-300
     if np.any(viol):
         raise ValueError(f"factor-2 domination fails at n={int(np.argmax(viol)) + 1}")

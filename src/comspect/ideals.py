@@ -34,6 +34,7 @@ __all__ = [
     "cesaro_sequence",
     "cesaro_membership",
     "max_envelope",
+    "net_total",
     "geometric_mean_seq",
     "dyadic_series_envelope",
     "check_geometric_stability",
@@ -223,6 +224,17 @@ class CesaroSequence:
         return np.sort(self.prefix)[::-1]
 
 
+def net_total(sums: np.ndarray, moduli: np.ndarray) -> float:
+    """|lambda_1 + ... + lambda_n| from the partial sums, or 0.0 when the
+    values cancel: the total is at most _ZERO_SUM_RTOL times sum |lambda_k|."""
+    total = abs(complex(sums[-1])) if sums.size else 0.0
+    # moduli summing beyond the float range give an inf scale, so every total
+    # counts as cancelled; the inf partial sums are rejected downstream
+    with np.errstate(over="ignore"):
+        scale = float(np.sum(moduli)) or 1.0
+    return 0.0 if total <= _ZERO_SUM_RTOL * scale else total
+
+
 def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
     """Cesàro means of an eigenvalue sequence (finite or symbolic).
 
@@ -234,11 +246,8 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
         sums = lam.partial_sums()
         n = np.arange(1, sums.size + 1)
         prefix = np.abs(sums) / n
-        total = complex(sums[-1]) if sums.size else 0j
-        scale = float(np.sum(lam.moduli)) or 1.0
-        if abs(total) <= _ZERO_SUM_RTOL * scale:
-            return CesaroSequence(prefix, None, True)
-        return CesaroSequence(prefix, PowerTail(abs(total), 1.0), True)
+        total = net_total(sums, lam.moduli)
+        return CesaroSequence(prefix, PowerTail(total, 1.0) if total else None, True)
     if isinstance(lam, EigenLaw):
         # taken before the 10^6-term prefix arrays exist: importing mpmath on
         # first use while they were alive raised the peak RSS by ~14 MB
@@ -348,10 +357,7 @@ def max_envelope(lam: EigenSequence) -> ScalarSequence:
     if n == 0:
         return ScalarSequence(np.empty(0))
     means = np.abs(sums) / np.arange(1, n + 1)
-    total = abs(complex(sums[-1]))
-    scale = float(np.sum(lam.moduli)) or 1.0
-    if total <= _ZERO_SUM_RTOL * scale:
-        total = 0.0
+    total = net_total(sums, lam.moduli)
     # suffix maximum of the stored means, then the tail supremum
     env = np.maximum.accumulate(means[::-1])[::-1]
     env = np.maximum(env, total / (n + 1))

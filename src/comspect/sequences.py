@@ -9,10 +9,18 @@ entry of the base sequence appears k times in a row.
 All threshold counts go through 12-significant-digit rounding so that
 breakpoint scans (values and their reciprocals travelling through floats)
 are stable across platforms.
+
+The counting and log-sum queries take a scalar or a 1-D array of thresholds
+(scales), so an alpha scan evaluates its whole breakpoint grid in one call.
+Array and scalar calls share one implementation and agree bit for bit: the
+closed forms apply Python's `**`, math.floor and math.log per element
+(numpy's vectorized log and power differ from them in the last bit on some
+inputs), and prefix log-sums are reduced row by row in numpy's 1-D order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,6 +37,10 @@ __all__ = [
 ]
 
 ROUND_DIGITS = 12
+
+# elements per block of the batched queries: rows x prefix entries for the
+# prefix log-sums, tail positions for a breakpoint enumeration
+BLOCK = 1 << 16
 
 
 def gammaln(x):
@@ -51,17 +63,45 @@ def round_sig(x, digits: int = ROUND_DIGITS):
     out = arr.copy()
     nz = (arr != 0) & np.isfinite(arr)
     if np.any(nz):
-        exp = np.floor(np.log10(np.abs(arr[nz])))
-        scale = 10.0 ** (digits - 1 - exp)
-        out[nz] = np.round(arr[nz] * scale) / scale
+        vals = arr[nz]
+        shift = digits - 1 - np.floor(np.log10(np.abs(vals)))
+        if np.maximum.reduce(shift) <= 308:
+            scale = 10.0**shift
+            out[nz] = np.round(vals * scale) / scale
+        else:  # below ~1e-297 the scale 10**shift overflows: apply 1e300 of it first
+            pre = np.where(shift > 308, 1e300, 1.0)
+            scale = 10.0 ** np.where(shift > 308, shift - 300, shift)
+            out[nz] = np.round(vals * pre * scale) / scale / pre
     return out if out.ndim else float(out)
 
 
-def _floor_index(v: float) -> int:
-    """floor(v) robust to values sitting one ulp below an integer."""
-    if v < 0:
-        return 0
-    return math.floor(round_sig(v) + 1e-9)
+def _batched(query):
+    """Give a query written for a 1-D float array of thresholds (or scales)
+    a scalar form too, which returns a Python scalar."""
+
+    @functools.wraps(query)
+    def batched(self, x, *args):
+        out = query(self, np.atleast_1d(np.asarray(x, dtype=float)), *args)
+        return out if np.ndim(x) else out.tolist()[0]
+
+    return batched
+
+
+def _map(fn, values: np.ndarray) -> np.ndarray:
+    """fn applied to the elements of a 1-D array as Python scalars."""
+    return np.array([fn(u) for u in values.tolist()], dtype=float)
+
+
+def _floor_index(v: np.ndarray) -> np.ndarray:
+    """floor(v) robust to values sitting one ulp below an integer; 0 for v < 0.
+
+    Elementwise over a 1-D array, with math.floor's exact integers: int64,
+    or Python integers (object dtype) from 2**53 on, so that the sums and
+    repeat multiples the counts go into cannot wrap around.
+    """
+    lifted = np.where(v < 0, 0.0, round_sig(v) + 1e-9)
+    floors = [math.floor(u) for u in lifted.tolist()]
+    return np.array(floors, dtype=np.int64 if lifted.max(initial=0.0) < 2.0**53 else object)
 
 
 @dataclass(frozen=True)
@@ -79,24 +119,23 @@ class PowerTail:
         m = np.asarray(m, dtype=float)
         return self.c * m ** (-self.a)
 
-    def count_ge(self, x: float, start: int) -> float:
-        """#{m > start : value(m) >= x}; may be inf for x == 0."""
-        if x <= 0:
-            return math.inf
-        bound = (self.c / x) ** (1.0 / self.a)
-        return max(0, _floor_index(bound) - start)
+    @_batched
+    def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
+        """#{m > start : value(m) >= x} per threshold (1-D); inf where x <= 0."""
+        live = ~(x <= 0)
+        bound = _map(lambda u: u ** (1.0 / self.a), self.c / np.where(live, x, 1.0))
+        count = np.maximum(_floor_index(bound) - start, 0)
+        return count if live.all() else np.where(live, count, math.inf)
 
-    def sum_plog(self, alpha: float, start: int) -> float:
-        """sum over m > start of log_+(alpha * value(m))."""
-        if alpha <= 0:
-            return 0.0
-        m_top = _floor_index((alpha * self.c) ** (1.0 / self.a))
-        if m_top <= start:
-            return 0.0
-        n_terms = m_top - start
-        return n_terms * math.log(alpha * self.c) - self.a * (
-            gammaln(m_top + 1) - gammaln(start + 1)
-        )
+    @_batched
+    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
+        """sum over m > start of log_+(alpha * value(m)) per scale (1-D)."""
+        lead = np.where(alpha <= 0, 0.0, alpha * self.c)
+        m_top = _floor_index(_map(lambda u: u ** (1.0 / self.a), lead))
+        live = m_top > start
+        log_lead = _map(math.log, np.where(live, lead, 1.0))
+        sums = (m_top - start) * log_lead - self.a * (gammaln(m_top + 1) - gammaln(start + 1))
+        return np.where(live, sums, 0.0)
 
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -131,26 +170,25 @@ class GeometricTail:
         m = np.asarray(m, dtype=float)
         return self.c * self.q**m
 
-    def count_ge(self, x: float, start: int) -> float:
-        if x <= 0:
-            return math.inf
-        if x > self.c * self.q ** (start + 1):
-            return 0
-        bound = math.log(x / self.c) / math.log(self.q)
-        return max(0, _floor_index(bound) - start)
+    @_batched
+    def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
+        live = ~(x <= 0)
+        reach = live & ~(x > self.c * self.q ** (start + 1))
+        bound = _map(math.log, np.where(reach, x / self.c, 1.0)) / math.log(self.q)
+        count = np.where(reach, np.maximum(_floor_index(bound) - start, 0), 0)
+        return count if live.all() else np.where(live, count, math.inf)
 
-    def sum_plog(self, alpha: float, start: int) -> float:
-        if alpha <= 0:
-            return 0.0
+    @_batched
+    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
         lead = alpha * self.c
-        if lead * self.q ** (start + 1) < 1:
-            return 0.0
-        m_top = _floor_index(-math.log(lead) / math.log(self.q))
-        if m_top <= start:
-            return 0.0
-        n_terms = m_top - start
-        msum = (m_top * (m_top + 1) - start * (start + 1)) / 2.0
-        return n_terms * math.log(lead) + msum * math.log(self.q)
+        reach = ~(alpha <= 0) & ~(lead * self.q ** (start + 1) < 1)
+        log_lead = _map(math.log, np.where(reach, lead, 1.0))
+        m_top = _floor_index(-log_lead / math.log(self.q))
+        live = reach & (m_top > start)
+        # the index sums in Python integers, exact beyond int64
+        msum = _map(lambda m: (m * (m + 1) - start * (start + 1)) / 2.0, np.where(live, m_top, start))
+        sums = (m_top - start) * log_lead + msum * math.log(self.q)
+        return np.where(live, sums, 0.0)
 
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
@@ -183,7 +221,11 @@ class FactorialPowerTail:
         m = np.asarray(m, dtype=float)
         return self.c * np.exp(-self.a * gammaln(m + 1) / m)
 
-    def count_ge(self, x: float, start: int) -> float:
+    @_batched
+    def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
+        return np.array([self._count_ge(u, start) for u in x.tolist()])
+
+    def _count_ge(self, x: float, start: int) -> float:
         if x <= 0:
             return math.inf
         if x > float(self.value_at(start + 1)):
@@ -200,8 +242,12 @@ class FactorialPowerTail:
                 hi = mid
         return lo - start
 
-    def sum_plog(self, alpha: float, start: int) -> float:
-        n = self.count_ge(1.0 / alpha, start) if alpha > 0 else 0
+    @_batched
+    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
+        return np.array([self._sum_plog(u, start) for u in alpha.tolist()])
+
+    def _sum_plog(self, alpha: float, start: int) -> float:
+        n = self._count_ge(1.0 / alpha, start) if alpha > 0 else 0
         if n == 0:
             return 0.0
         m = np.arange(start + 1, start + n + 1, dtype=float)
@@ -307,24 +353,64 @@ class ScalarSequence:
 
     # -- aggregates (all exact, tails in closed form) ------------------
 
-    def count_ge(self, x: float) -> float:
-        """#{n : value(n) >= x}, with 12-digit rounding at the threshold."""
-        if x <= 0:
+    @functools.cached_property
+    def rounded_levels(self) -> np.ndarray:
+        """The 12-digit rounded prefix entries, ascending (computed once)."""
+        return np.sort(round_sig(self.prefix))
+
+    @_batched
+    def count_ge(self, x: np.ndarray) -> np.ndarray:
+        """#{n : value(n) >= x} per threshold, with 12-digit rounding at the
+        threshold (scalar or 1-D x)."""
+        if np.any(x <= 0):
             raise ValueError("threshold must be positive")
-        cnt = int(np.count_nonzero(round_sig(self.prefix) >= round_sig(x)))
+        levels = self.rounded_levels
+        cnt = levels.size - np.searchsorted(levels, round_sig(x))
         if self.tail is not None:
-            cnt += self.tail.count_ge(x, self.prefix.size)
+            cnt = cnt + self.tail.count_ge(x, self.prefix.size)
         return self.repeat * cnt
 
-    def sum_plog(self, alpha: float = 1.0) -> float:
-        """sum of log_+(alpha * value(n)) over all n."""
-        if alpha <= 0:
-            return 0.0
-        vals = alpha * self.prefix[self.prefix > 0]
-        s = float(np.sum(np.log(vals[vals >= 1]))) if vals.size else 0.0
+    @_batched
+    def sum_plog(self, alpha: np.ndarray) -> np.ndarray:
+        """sum of log_+(alpha * value(n)) over all n per scale (scalar or 1-D)."""
+        s = self._prefix_plog(alpha)
         if self.tail is not None:
-            s += self.tail.sum_plog(alpha, self.prefix.size)
+            s = s + self.tail.sum_plog(alpha, self.prefix.size)
         return self.repeat * s
+
+    @functools.cached_property
+    def _positive_prefix(self) -> tuple[np.ndarray, bool]:
+        """The positive prefix entries, and whether they never rise (the
+        prefix may rise within its 1e-12 tolerance)."""
+        pos = self.prefix[self.prefix > 0]
+        return pos, bool((pos[1:] <= pos[:-1]).all())
+
+    def _prefix_plog(self, alpha: np.ndarray) -> np.ndarray:
+        """Per scale, the sum of log(alpha * p) over prefix entries p with
+        alpha * p >= 1.
+
+        Each sum equals np.sum of the 1-D selection bit for bit.  When the
+        entries never rise, a scale keeps a leading run of them, and rows
+        keeping the same run length are reduced together as a C-contiguous
+        (rows, k) block, which numpy sums row by row in its 1-D pairwise order.
+        """
+        pos, never_rises = self._positive_prefix
+        out = np.zeros(alpha.size)
+        if not never_rises:
+            for i, a in enumerate(alpha.tolist()):
+                vals = a * pos
+                out[i] = np.sum(np.log(vals[vals >= 1]))
+            return out
+        rows = max(1, BLOCK // max(pos.size, 1))
+        for lo in range(0, alpha.size, rows):
+            vals = alpha[lo : lo + rows, None] * pos
+            width = np.add.reduce(vals >= 1, axis=1)
+            cuts = (np.flatnonzero(width[1:] != width[:-1]) + 1).tolist()
+            for a, b in zip([0] + cuts, cuts + [width.size]):
+                if width[a]:
+                    block = np.ascontiguousarray(vals[a:b, : width[a]])
+                    out[lo + a : lo + b] = np.sum(np.log(block), axis=1)
+        return out
 
     def schatten_sum(self, p: float) -> float:
         s = float(np.sum(self.prefix**p))

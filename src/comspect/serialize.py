@@ -110,23 +110,13 @@ def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise SchemaError("matrix document must be a JSON object")
     n = _require(doc, "n", int)
-    if n < 1:
+    if isinstance(n, bool) or n < 1:
         raise SchemaError("field 'n' must be a positive integer")
     entries = _require(doc, "entries", list)
     if len(entries) != n * n:
         raise SchemaError(f"field 'entries' must hold n*n = {n * n} pairs, got {len(entries)}")
-    flat = np.empty(n * n, dtype=np.complex128)
-    for i, item in enumerate(entries):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise SchemaError(f"entries[{i}] must be a [re, im] pair")
-        try:
-            flat[i] = complex(float(item[0]), float(item[1]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"entries[{i}] holds non-numeric data") from exc
-    m = flat.reshape(n, n)
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise SchemaError("matrix entries must be finite")
-    return m
+    flat = [_complex_pair(item, "entries", i) for i, item in enumerate(entries)]
+    return np.array(flat, dtype=np.complex128).reshape(n, n)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -138,24 +128,39 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _finite_float(value, field: str, index: int | None = None) -> float:
-    """float(value), rejecting JSON's NaN and +-Infinity literals and integers
-    beyond the float range with the field's name."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if math.isfinite(x):
-        return x
-    where = f"field {field!r}" if index is None else f"{field}[{index}]"
-    raise SchemaError(f"{where} must be finite")
+def _number(value, name: str, index: int | None = None) -> float:
+    """A JSON number as a finite float.
+
+    Booleans, strings and null are non-numeric; JSON's NaN and +-Infinity
+    literals and integers beyond the float range are non-finite.  The
+    diagnostic names the datum as name[index], or as field 'name'.
+    """
+    if type(value) is float:
+        x = value
+    elif type(value) is int:  # not bool, whose type is bool
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        raise SchemaError(f"{_where(name, index)} holds non-numeric data")
+    if not math.isfinite(x):
+        raise SchemaError(f"{_where(name, index)} must be finite")
+    return x
+
+
+def _where(name: str, index: int | None) -> str:
+    return f"field {name!r}" if index is None else f"{name}[{index}]"
+
+
+def _complex_pair(item, name: str, index: int) -> complex:
+    if not (isinstance(item, list) and len(item) == 2):
+        raise SchemaError(f"{name}[{index}] must be a [re, im] pair")
+    return complex(_number(item[0], name, index), _number(item[1], name, index))
 
 
 def _float_field(doc: dict, name: str) -> float:
-    value = _require(doc, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field {name!r} must be a number")
-    return _finite_float(value, name)
+    return _number(_require(doc, name), name)
 
 
 def scalar_sequence_from_json(doc) -> ScalarSequence:
@@ -165,12 +170,7 @@ def scalar_sequence_from_json(doc) -> ScalarSequence:
     kind = _require(doc, "kind", str)
     if kind == "finite":
         values = _require(doc, "values", list)
-        try:
-            arr = np.asarray(
-                [_finite_float(v, "values", i) for i, v in enumerate(values)], dtype=float
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("field 'values' holds non-numeric data") from exc
+        arr = np.array([_number(v, "values", i) for i, v in enumerate(values)], dtype=float)
         try:
             return ScalarSequence(arr)
         except ValueError as exc:
@@ -200,24 +200,16 @@ def eigen_input_from_json(doc):
     if "entries" in doc or "n" in doc:
         return matrix_from_json(doc)
     kind = _require(doc, "kind", str)
-    alternating = bool(doc.get("alternating", False))
+    alternating = doc.get("alternating", False)
+    if not isinstance(alternating, bool):
+        raise SchemaError("field 'alternating' must be true or false")
     if kind == "finite":
         values = _require(doc, "values", list)
-        vals = np.empty(len(values), dtype=np.complex128)
-        for i, item in enumerate(values):
-            if isinstance(item, list):
-                if len(item) != 2:
-                    raise SchemaError(f"values[{i}] must be a [re, im] pair")
-                try:
-                    real, imag = (_finite_float(part, "values", i) for part in item)
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"values[{i}] holds non-numeric data") from exc
-                vals[i] = complex(real, imag)
-            elif isinstance(item, (int, float)) and not isinstance(item, bool):
-                vals[i] = complex(_finite_float(item, "values", i))
-            else:
-                raise SchemaError(f"values[{i}] holds non-numeric data")
-        return EigenSequence.from_values(vals)
+        vals = [
+            _complex_pair(item, "values", i) if isinstance(item, list) else _number(item, "values", i)
+            for i, item in enumerate(values)
+        ]
+        return EigenSequence.from_values(np.array(vals, dtype=np.complex128))
     if kind == "power":
         return EigenLaw("power", _float_field(doc, "c"), a=_float_field(doc, "a"), alternating=alternating)
     if kind == "geometric":

@@ -87,8 +87,13 @@ class EigenSequence:
         return np.abs(self.values)
 
     def partial_sums(self) -> np.ndarray:
-        """lambda_1 + ... + lambda_n for n = 1..len(values), in stored order."""
-        return np.cumsum(self.values)
+        """lambda_1 + ... + lambda_n for n = 1..len(values), in stored order.
+
+        A sum beyond the float range is inf without a warning; the sequences
+        built from it reject it as non-finite.
+        """
+        with np.errstate(over="ignore"):
+            return np.cumsum(self.values)
 
     def scaled(self, alpha: complex) -> "EigenSequence":
         if alpha == 0:

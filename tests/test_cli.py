@@ -169,8 +169,15 @@ class TestNonFiniteInput:
             ('{"kind": "power", "c": NaN, "a": 2}', b"field 'c' must be finite"),
             ('{"kind": "geometric", "c": 1, "q": Infinity}', b"field 'q' must be finite"),
             ('{"kind": "power", "c": 1' + "0" * 400 + ', "a": 2}', b"field 'c' must be finite"),
+            ('{"kind": "finite", "values": [true, false]}', b"values[0] holds non-numeric data"),
+            ('{"kind": "finite", "values": [2, "1"]}', b"values[1] holds non-numeric data"),
+            ('{"kind": "power", "c": true, "a": 2}', b"field 'c' holds non-numeric data"),
+            ('{"kind": "geometric", "c": 1, "q": "0.5"}', b"field 'q' holds non-numeric data"),
         ],
-        ids=["nan-value", "minus-inf-value", "nan-c", "inf-q", "int-beyond-float-c"],
+        ids=[
+            "nan-value", "minus-inf-value", "nan-c", "inf-q", "int-beyond-float-c",
+            "bool-values", "string-value", "bool-c", "string-q",
+        ],
     )
     def test_field_diagnostic(self, tmp_path, command, doc, message):
         path = tmp_path / "seq.json"
@@ -189,6 +196,62 @@ class TestNonFiniteInput:
         r = _run(["criterion", "-i", str(path), "--ideal", "schatten:p=1"])
         assert r.returncode == 2
         assert message in r.stderr
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["criterion", "--ideal", "schatten:p=1"]], ids=["spectrum", "criterion"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"n": 1, "entries": [["2", true]]}', b"entries[0] holds non-numeric data"),
+            ('{"n": 1, "entries": [[1, false]]}', b"entries[0] holds non-numeric data"),
+            ('{"n": 2, "entries": [[1, 0], [0, 0], [NaN, 0], [1, 0]]}', b"entries[2] must be finite"),
+            ('{"n": true, "entries": [[1, 0]]}', b"field 'n' must be a positive integer"),
+        ],
+        ids=["string-and-bool", "bool-imag", "nan", "bool-n"],
+    )
+    def test_matrix_entries(self, tmp_path, command, doc, message):
+        path = tmp_path / "m.json"
+        path.write_text(doc)
+        r = _run([command[0], "-i", str(path), *command[1:]])
+        assert r.returncode == 2
+        assert message in r.stderr
+
+    @pytest.mark.parametrize("flag", ['"no"', "1", "null"])
+    def test_alternating_must_be_boolean(self, tmp_path, flag):
+        path = tmp_path / "law.json"
+        path.write_text('{"kind": "power", "c": 1, "a": 2, "alternating": %s}' % flag)
+        r = _run(["criterion", "-i", str(path), "--ideal", "schatten:p=1"])
+        assert r.returncode == 2
+        assert b"field 'alternating' must be true or false" in r.stderr
+
+
+class TestWarningFreeProbes:
+    """Inputs whose numerics leaked numpy RuntimeWarnings keep their outcome
+    (the perfbench catalogue's exit code and error line) without warnings."""
+
+    @pytest.mark.parametrize(
+        "doc, code, error",
+        [
+            ({"kind": "finite", "values": [1e308, 1e308]}, 2, "input error: prefix entries must be finite and nonnegative"),
+            (
+                {"kind": "geometric", "c": 1.0, "q": 0.5, "alternating": True},
+                3,
+                "numerical failure: tail breakpoint enumeration exceeded its cap",
+            ),
+        ],
+        ids=["1e308-pair", "geometric-alt"],
+    )
+    def test_no_runtime_warnings(self, tmp_path, capsys, doc, code, error):
+        import warnings
+
+        from comspect import cli
+
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["criterion", "-i", str(path), "--ideal", "schatten:p=1"]) == code
+        assert capsys.readouterr().err.strip() == error
+        assert [str(w.message) for w in caught] == []
 
 
 # Runs `python -m comspect.cli <args>` in-process and reports, as the last

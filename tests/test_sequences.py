@@ -174,3 +174,24 @@ class TestRoundSig:
     def test_monotone(self, x, y):
         lo, hi = sorted((x, y))
         assert round_sig(lo) <= round_sig(hi)
+
+    @pytest.mark.parametrize("x", [1e-297, 3.3e-298, 1e-300, 2.2250738585072014e-308, 1e-320, 5e-324])
+    def test_tiny_values_round_without_warnings(self, x):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = round_sig(x)
+            both = round_sig(np.array([-x, x]))
+        assert math.isfinite(out) and out > 0
+        assert out == pytest.approx(x, rel=1e-11, abs=5e-324)
+        assert both.tolist() == [-out, out]
+
+    def test_finite_scales_unchanged(self):
+        # bitwise the plain formula wherever 10**(digits-1-exp) is finite
+        x = np.concatenate([10.0 ** np.linspace(-297, 308, 4001), [1.0 + 1e-14, 123456.7890123456]])
+        exp = np.floor(np.log10(x))
+        scale = 10.0 ** (11 - exp)
+        plain = np.round(x * scale) / scale
+        assert np.array_equal(round_sig(x).view(np.uint64), plain.view(np.uint64))
+
