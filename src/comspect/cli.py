@@ -28,6 +28,17 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comspect",
@@ -54,15 +65,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--ideal", required=True, help="e.g. schatten:p=1 or weaklp:p=2")
     p.add_argument("--emit-table", help="write an (n, c_n, u_n) CSV here")
-    p.add_argument("--table-rows", type=int, default=200)
-    p.add_argument("--prefix-length", type=int, default=10**6)
+    p.add_argument("--table-rows", type=_positive_int, default=200)
+    p.add_argument("--prefix-length", type=_positive_int, default=10**6)
 
     p = sub.add_parser("stability", help="geometric stability report for a sequence")
     add_io(p)
     p.add_argument("--ideal", required=True)
-    p.add_argument("--n-max", type=int, default=100_000)
+    p.add_argument("--n-max", type=_positive_int, default=100_000)
     p.add_argument("--emit-table", help="write an (n, s_n, t_n, u_n) CSV here")
-    p.add_argument("--table-rows", type=int, default=200)
+    p.add_argument("--table-rows", type=_positive_int, default=200)
 
     p = sub.add_parser("verify", help="run a randomized inequality suite")
     add_io(p, needs_input=False)
@@ -137,27 +148,45 @@ def _cmd_cutoff_report(args) -> int:
     return 0
 
 
-def _emit_cu_table(path: str, lam, env, rows: int) -> None:
+def _write_table(path: str, rows: int, columns: dict) -> None:
+    """CSV of n = 1..rows and one 17-digit column per (name, n -> value)."""
     import csv
 
-    import numpy as np
-
-    sums = lam.partial_sums()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "c_n", "u_n"])
-        top = rows
-        means = np.abs(sums) / np.arange(1, sums.size + 1) if sums.size else np.zeros(0)
-        total = abs(complex(sums[-1])) if sums.size else 0.0
-        for n in range(1, top + 1):
-            c_n = means[n - 1] if n <= means.size else (total / n if total else 0.0)
-            writer.writerow([n, f"{c_n:.17g}", f"{float(env.value(n)):.17g}"])
+        writer.writerow(["n", *columns])
+        for n in range(1, rows + 1):
+            writer.writerow([n, *(f"{float(col(n)):.17g}" for col in columns.values())])
+
+
+def _emit_cu_table(path: str, lam, rows: int) -> None:
+    """The Cesàro means c_n beside the condition-(3) witness u_n."""
+    import numpy as np
+
+    from .criterion import condition3_witness
+    from .ideals import net_total
+
+    sums = lam.partial_sums()
+    means = np.abs(sums) / np.arange(1, sums.size + 1)
+    total = net_total(sums, lam.moduli)
+
+    def c_n(n):
+        return means[n - 1] if n <= means.size else total / n
+
+    _write_table(path, rows, {"c_n": c_n, "u_n": condition3_witness(lam).value})
+
+
+def _check_json(check) -> dict:
+    return {
+        "holds": check.holds,
+        "worstRatio": check.worst_ratio,
+        "witnessScale": check.witness_scale,
+        "failingAlpha": check.failing_alpha,
+    }
 
 
 def _cmd_criterion(args) -> int:
-    import numpy as np
-
-    from .criterion import commutator_membership, condition3_witness
+    from .criterion import commutator_membership
     from .ideals import EigenLaw, IdealSpec
     from .errors import SchemaError
     from .serialize import (
@@ -181,18 +210,8 @@ def _cmd_criterion(args) -> int:
         "verdict": report.verdict,
         "condition2": verdict_to_json(report.condition2),
         "condition3Witness": sequence_summary(report.condition3_witness),
-        "condition4": {
-            "holds": report.condition4.holds,
-            "worstRatio": report.condition4.worst_ratio,
-            "witnessScale": report.condition4.witness_scale,
-            "failingAlpha": report.condition4.failing_alpha,
-        },
-        "condition5": {
-            "holds": report.condition5.holds,
-            "worstRatio": report.condition5.worst_ratio,
-            "witnessScale": report.condition5.witness_scale,
-            "failingAlpha": report.condition5.failing_alpha,
-        },
+        "condition4": _check_json(report.condition4),
+        "condition5": _check_json(report.condition5),
         "witnessScale": report.witness_scale,
         "explanation": report.explanation,
     }
@@ -212,15 +231,12 @@ def _cmd_criterion(args) -> int:
     _write(canonical_json(doc), args.output)
     if args.emit_table:
         if isinstance(source, EigenLaw):
-            lam = EigenSequence(
-                np.asarray(source.prefix_values(args.table_rows), dtype=complex),
-                args.table_rows,
-            )
+            lam = EigenSequence(source.prefix_values(args.table_rows))
         elif isinstance(source, EigenSequence):
             lam = source
         else:
             lam = eigenvalue_sequence(source)
-        _emit_cu_table(args.emit_table, lam, condition3_witness(lam), args.table_rows)
+        _emit_cu_table(args.emit_table, lam, args.table_rows)
     return 0
 
 
@@ -248,22 +264,9 @@ def _cmd_stability(args) -> int:
     }
     _write(canonical_json(doc), args.output)
     if args.emit_table:
-        import csv
-
         t = geometric_mean_seq(seq)
         u = dyadic_series_envelope(seq, report.theta, args.table_rows)
-        with open(args.emit_table, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "s_n", "t_n", "u_n"])
-            for n in range(1, args.table_rows + 1):
-                writer.writerow(
-                    [
-                        n,
-                        f"{float(seq.value(n)):.17g}",
-                        f"{float(t.value(n)):.17g}",
-                        f"{float(u.value(n)):.17g}",
-                    ]
-                )
+        _write_table(args.emit_table, args.table_rows, {"s_n": seq.value, "t_n": t.value, "u_n": u.value})
     return 0
 
 

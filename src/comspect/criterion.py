@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import CutoffPair, default_cutoff_pair
+from .cutoffs import default_cutoff_pair
 from .errors import NumericalError
 from .functionals import chi, derived_c2, nu as nu_functional
 from .ideals import (
     IN,
     OUT,
     UNDECIDED,
-    CesaroSequence,
     EigenLaw,
     IdealSpec,
     MembershipVerdict,
@@ -37,10 +36,12 @@ from .ideals import (
 )
 from .sequences import (
     BLOCK,
+    STORED_SLACK,
     FactorialPowerTail,
     GeometricTail,
-    PowerTail,
     ScalarSequence,
+    exceeds,
+    exceeds_scaled,
     round_sig,
 )
 from .spectral import (
@@ -67,7 +68,6 @@ __all__ = [
 IN_COM = "InComJ"
 NOT_IN_COM = "NotInComJ"
 
-_SLACK = 1e-9
 _MAX_TAIL_BREAKPOINTS = 2_000_000
 
 
@@ -91,7 +91,7 @@ def condition3_witness(lam: EigenSequence) -> ScalarSequence:
     sums = lam.partial_sums()
     if sums.size:
         means = np.abs(sums) / np.arange(1, sums.size + 1)
-        if np.any(means > env.prefix * (1 + 1e-12) + 1e-300):
+        if np.any(exceeds(means, env.prefix)):
             raise NumericalError("envelope failed to dominate the Cesàro means")
     return env
 
@@ -209,12 +209,11 @@ def _tail_slope_state(t: ScalarSequence, total: float):
     raise NumericalError("failed to certify superlinear witness dominance")
 
 
-def _find_failure(lhs_fn, rhs_fn, start: float, tol: float) -> float | None:
+def _find_failure(lhs_fn, rhs_fn, start: float) -> float | None:
     """Search upward (geometrically) for a scale where lhs > rhs + slack."""
     alpha = max(start, 1e-6)
     for _ in range(400):
-        lhs, rhs = lhs_fn(alpha), rhs_fn(alpha)
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
+        if exceeds_scaled(lhs_fn(alpha), rhs_fn(alpha)):
             return alpha
         alpha *= 1.5
     return None
@@ -250,21 +249,20 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
     left, left_next = grid * sum_abs, grid_next * sum_abs
     ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
     worst = float(np.fmax.reduce(ratios, initial=0.0))  # skips nan, as max(worst, r) did
-    fails = (left > right + _SLACK * (1.0 + right)) | (left_next > right_next + _SLACK * (1.0 + right_next))
+    fails = exceeds_scaled(left, right) | exceeds_scaled(left_next, right_next)
     holds = not fails.any()
     failing = None if holds else float(grid[fails.argmax()])
     if holds and state == "fail":
         # every finite breakpoint passed but the right side eventually loses
         holds = False
-        failing = _find_failure(lhs, rhs, base_cap, _SLACK)
+        failing = _find_failure(lhs, rhs, base_cap)
         if failing is not None:
             worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
     elif holds and state == "ok" and total > 0.0:
         # beyond alpha_cap >= 2*alpha_star the floor bound keeps the counting
         # side above alpha*total, and the log side's margin is increasing;
         # the edge check closes the interval ending at alpha_cap
-        edge_rhs = rhs(alpha_cap)
-        if lhs(alpha_cap) > edge_rhs + _SLACK * (1.0 + edge_rhs):
+        if exceeds_scaled(lhs(alpha_cap), rhs(alpha_cap)):
             holds = False
             failing = alpha_cap
     return ConditionCheck(holds, worst, int(grid.size), failing)
@@ -292,16 +290,16 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     horizon = max(mods.size, t.base_length * t.repeat) + t.repeat
     ns = np.arange(1, horizon + 1)
     t_vals = np.asarray(t.value(ns))
-    if np.any(t_vals[: mods.size] < mods * (1 - 1e-12) - 1e-300):
-        bad = int(np.argmax(t_vals[: mods.size] < mods * (1 - 1e-12)))
-        raise ValueError(f"witness fails s_n >= |lambda_n| at n={bad + 1}")
+    short = exceeds(-t_vals[: mods.size], -mods, -STORED_SLACK)  # s_n below |lambda_n|
+    if np.any(short):
+        raise ValueError(f"witness fails s_n >= |lambda_n| at n={int(np.argmax(short)) + 1}")
     sums = lam.partial_sums()
     means = np.zeros(horizon)
     if sums.size:
         means[: sums.size] = np.abs(sums) / np.arange(1, sums.size + 1)
     total = net_total(sums, mods)
     means[sums.size :] = total / ns[sums.size :]
-    viol = means > 2.0 * t_vals * (1 + 1e-12) + 1e-300
+    viol = exceeds(means, 2.0 * t_vals)
     if np.any(viol):
         raise ValueError(f"factor-2 domination fails at n={int(np.argmax(viol)) + 1}")
     if total > 0.0:
@@ -326,7 +324,7 @@ def _certify_tail_domination(total: float, t: ScalarSequence, checked: int) -> N
     lower = 2.0 * c * (n0 / r + 1.0) ** (-a) * n0
     if a == 1.0:
         lower = 2.0 * c * r * n0 / (n0 + r)
-    if lower < total * (1 - 1e-12):
+    if exceeds(-lower, -total, -STORED_SLACK, 0.0):  # lower below total
         raise ValueError("factor-2 domination fails beyond the checked horizon")
 
 
@@ -357,7 +355,6 @@ def commutator_membership(
     ideal: IdealSpec,
     prefix_length: int = 10**6,
     witness_prefix: int = 2000,
-    pair: CutoffPair | None = None,
 ) -> CriterionReport:
     """Full membership report for a matrix, finite sequence, or symbolic law.
 
@@ -368,10 +365,7 @@ def commutator_membership(
     """
     split_report = None
     if isinstance(source, EigenLaw):
-        lam_for_witness = EigenSequence(
-            np.asarray(source.prefix_values(witness_prefix), dtype=np.complex128),
-            witness_prefix,
-        )
+        lam_for_witness = EigenSequence(source.prefix_values(witness_prefix))
         cond2 = condition2(source, ideal, prefix_length)
         scale = witness_prefix
     elif isinstance(source, EigenSequence):
@@ -383,7 +377,7 @@ def commutator_membership(
         lam_for_witness = eigenvalue_sequence(matrix)
         cond2 = condition2(lam_for_witness, ideal)
         scale = lam_for_witness.values.size
-        split_report = _hermitian_split_report(matrix, ideal, pair)
+        split_report = _hermitian_split_report(matrix, ideal)
 
     env, c4, c5 = _witness_checks(lam_for_witness)
 
@@ -408,8 +402,7 @@ def commutator_membership(
     )
 
 
-def _hermitian_split_report(matrix: np.ndarray, ideal: IdealSpec, pair) -> dict:
-    pair = pair or default_cutoff_pair()
+def _hermitian_split_report(matrix: np.ndarray, ideal: IdealSpec) -> dict:
     h, k = hermitian_split(matrix)
     eig_t = eigenvalue_sequence(matrix)
     eig_h = eigenvalue_sequence(h)
@@ -417,7 +410,7 @@ def _hermitian_split_report(matrix: np.ndarray, ideal: IdealSpec, pair) -> dict:
     cond2_h = condition2(eig_h, ideal)
     cond2_k = condition2(eig_k, ideal)
     mu2 = singular_sequence(matrix).sum_plog(2.0)
-    c2_const = derived_c2(pair)
+    c2_const = derived_c2(default_cutoff_pair())
     return {
         "condition2_h": cond2_h,
         "condition2_k": cond2_k,

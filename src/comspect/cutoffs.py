@@ -35,6 +35,16 @@ __all__ = [
     "laplacian_grid_check",
 ]
 
+# construction tolerances: the Chebyshev coefficient tail of psi'' (relative
+# to its largest coefficient), and the agreement with direct quadrature that
+# the built corrector must reach
+_INTERP_TOL = 1e-12
+_QUADRATURE_TOL = 1e-10
+# grid points of the c1 scan over (0, 10]
+_C1_GRID = 10_000
+# Laplacian stencil step per unit of max(1, |z|)
+_LAPLACIAN_STEP = 2e-3
+
 
 def _bump(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
@@ -147,7 +157,7 @@ class ConvexCorrector:
     """psi with psi(x) = 0 for x <= 0, the prescribed second derivative on
     [0, 1], and affine continuation (slope psi'(1)) beyond 1."""
 
-    def __init__(self, phi: SmoothStep, tol: float = 1e-12):
+    def __init__(self, phi: SmoothStep):
         from scipy import optimize
 
         self._phi = phi
@@ -175,7 +185,7 @@ class ConvexCorrector:
         d1_left = 0.0  # psi'(0) = 0, forced by the double-integral definition
         val_left = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            s2 = _interpolate_adaptive(second, lo, hi, tol)
+            s2 = _interpolate_adaptive(second, lo, hi, _INTERP_TOL)
             s1 = s2.integ(1, k=[d1_left], lbnd=lo)
             s0 = s1.integ(1, k=[val_left], lbnd=lo)
             self._pieces.append((lo, hi, s0, s1))
@@ -184,7 +194,7 @@ class ConvexCorrector:
         self.value_at_one = val_left
         self.slope_at_one = d1_left
 
-        self._self_check(tol=1e-10, cuts=cuts)
+        self._self_check(tol=_QUADRATURE_TOL, cuts=cuts)
 
     def _self_check(self, tol: float, cuts) -> None:
         """Compare the interpolants against direct adaptive quadrature of the
@@ -230,14 +240,14 @@ def make_psi(phi: SmoothStep) -> ConvexCorrector:
     return ConvexCorrector(phi)
 
 
-def c1_constant(psi: ConvexCorrector, grid_points: int = 10_000) -> float:
+def c1_constant(psi: ConvexCorrector) -> float:
     """Least constant with psi(x) <= c1 * max(x, 0) on a dense grid.
 
     psi is convex with psi(0) = 0, so psi(x)/x is nondecreasing and tends to
     the affine slope psi'(1); the grid scan over (0, 10] is a safeguard and
     the returned value is the max of both.
     """
-    xs = np.linspace(10.0 / grid_points, 10.0, grid_points)
+    xs = np.linspace(10.0 / _C1_GRID, 10.0, _C1_GRID)
     ratio = float(np.max(psi(xs) / xs))
     return max(ratio, psi.slope_at_one)
 
@@ -296,16 +306,15 @@ def laplacian_grid_check(
     r_min: float,
     r_max: float,
     grid_size: int,
-    step_scale: float = 2e-3,
     negate: bool = False,
 ) -> float:
     """Minimum of a step-adapted five-point Laplacian of h over an annulus.
 
     Sample points form a grid_size x grid_size lattice on the bounding square;
     only points with r_min <= |z| <= r_max are kept.  At each point the
-    stencil step is step_scale * max(1, |z|), and the discrete Laplacian is
-    Richardson-extrapolated over steps (d, 2d) to cancel the second-order
-    truncation term, leaving errors well below 1e-6 for the default scale.
+    stencil step is _LAPLACIAN_STEP * max(1, |z|), and the discrete Laplacian
+    is Richardson-extrapolated over steps (d, 2d) to cancel the second-order
+    truncation term, leaving errors well below 1e-6.
     Subharmonicity of h makes the expected minimum >= -epsilon; ``negate``
     flips the sign of h (the control must then go clearly negative).
     """
@@ -331,6 +340,6 @@ def laplacian_grid_check(
         )
         return stencil / delta**2
 
-    d = step_scale * np.maximum(1.0, np.abs(z))
+    d = _LAPLACIAN_STEP * np.maximum(1.0, np.abs(z))
     richardson = (4.0 * lap(d) - lap(2.0 * d)) / 3.0
     return float(np.min(sign * richardson))

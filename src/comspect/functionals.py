@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
-from .sequences import round_sig
+from .sequences import exceeds_scaled, round_sig
 from .spectral import EigenSequence, eigenvalue_sequence, validate_matrix
 
 __all__ = [
@@ -111,7 +111,7 @@ class FunctionalReport:
         if self.nu < 0 or self.mu < 0 or not math.isfinite(self.mu):
             raise ValueError("nu and mu must be finite and nonnegative")
         bound = math.e * self.nu
-        if abs(self.chi - self.chi_phi) > bound + 1e-9 * (1.0 + bound):
+        if exceeds_scaled(abs(self.chi - self.chi_phi), bound):
             raise ValueError("smoothed threshold sum strays beyond e * nu")
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sequences import (
+    DERIVED_SLACK,
+    STORED_SLACK,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
@@ -45,9 +47,6 @@ __all__ = [
 IN = "In"
 OUT = "Out"
 UNDECIDED = "UndecidedAtScale"
-
-# relative cutoff below which a cancelling eigenvalue total counts as zero
-_ZERO_SUM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,6 @@ class EigenLaw:
             vals = vals * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         return vals
 
-    def moduli_sequence(self) -> ScalarSequence:
-        """|lambda_n| as an exact nonincreasing sequence."""
-        if self.kind == "power":
-            return ScalarSequence.power_law(self.c, self.a)
-        return ScalarSequence.geometric_law(self.c, self.q)
-
     def partial_sum_limit(self) -> float | None:
         """Limit of lambda_1 + ... + lambda_n, or None when divergent."""
         if self.kind == "geometric":
@@ -216,23 +209,16 @@ class CesaroSequence:
     tail_exact: bool
     log_tail_coefficient: float | None = None  # c_n ~ coeff * ln n / n
 
-    @property
-    def is_monotone(self) -> bool:
-        return self.prefix.size < 2 or bool(np.all(np.diff(self.prefix) <= 1e-15))
-
-    def sorted_prefix(self) -> np.ndarray:
-        return np.sort(self.prefix)[::-1]
-
 
 def net_total(sums: np.ndarray, moduli: np.ndarray) -> float:
     """|lambda_1 + ... + lambda_n| from the partial sums, or 0.0 when the
-    values cancel: the total is at most _ZERO_SUM_RTOL times sum |lambda_k|."""
+    values cancel: the total is at most STORED_SLACK times sum |lambda_k|."""
     total = abs(complex(sums[-1])) if sums.size else 0.0
     # moduli summing beyond the float range give an inf scale, so every total
     # counts as cancelled; the inf partial sums are rejected downstream
     with np.errstate(over="ignore"):
         scale = float(np.sum(moduli)) or 1.0
-    return 0.0 if total <= _ZERO_SUM_RTOL * scale else total
+    return 0.0 if total <= STORED_SLACK * scale else total
 
 
 def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
@@ -468,7 +454,7 @@ def check_geometric_stability(
         theta=theta,
         empirical_constant=empirical,
         proof_constant=proof_c,
-        chain_holds=bool(worst <= 1e-9),
+        chain_holds=bool(worst <= DERIVED_SLACK),
         worst_chain_margin=worst,
         n_checked=n_max,
     )

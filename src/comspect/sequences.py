@@ -38,6 +38,27 @@ __all__ = [
 
 ROUND_DIGITS = 12
 
+# The package's comparison slacks: every tolerance comparison calls exceeds()
+# or exceeds_scaled() below, or names one of these constants.
+STORED_SLACK = 1e-12  # relative, between stored values: prefix order, dominations, cancelled totals
+DERIVED_SLACK = 1e-9  # relative, for computed sides: alpha scans, functional bounds, floor lifts
+TINY = 1e-300  # absolute floor of exceeds(): a comparison against zero needs a real excess
+
+
+def exceeds(a, b, rel=STORED_SLACK, tiny=TINY):
+    """a > b * (1 + rel) + tiny, elementwise.
+
+    The lower-side test a < b * (1 - rel) - tiny is exceeds(-a, -b, -rel, tiny):
+    negation is exact in floating point, so both forms round alike.
+    """
+    return a > b * (1 + rel) + tiny
+
+
+def exceeds_scaled(a, b, rel=DERIVED_SLACK):
+    """a > b + rel * (1 + |b|), elementwise."""
+    return a > b + rel * (1 + abs(b))
+
+
 # elements per block of the batched queries: rows x prefix entries for the
 # prefix log-sums, tail positions for a breakpoint enumeration
 BLOCK = 1 << 16
@@ -57,14 +78,14 @@ def gammaln(x):
     return gammaln(x)
 
 
-def round_sig(x, digits: int = ROUND_DIGITS):
-    """Round to `digits` significant decimal digits (elementwise, monotone)."""
+def round_sig(x):
+    """Round to ROUND_DIGITS significant decimal digits (elementwise, monotone)."""
     arr = np.asarray(x, dtype=float)
     out = arr.copy()
     nz = (arr != 0) & np.isfinite(arr)
     if np.any(nz):
         vals = arr[nz]
-        shift = digits - 1 - np.floor(np.log10(np.abs(vals)))
+        shift = ROUND_DIGITS - 1 - np.floor(np.log10(np.abs(vals)))
         if np.maximum.reduce(shift) <= 308:
             scale = 10.0**shift
             out[nz] = np.round(vals * scale) / scale
@@ -99,7 +120,7 @@ def _floor_index(v: np.ndarray) -> np.ndarray:
     or Python integers (object dtype) from 2**53 on, so that the sums and
     repeat multiples the counts go into cannot wrap around.
     """
-    lifted = np.where(v < 0, 0.0, round_sig(v) + 1e-9)
+    lifted = np.where(v < 0, 0.0, round_sig(v) + DERIVED_SLACK)
     floors = [math.floor(u) for u in lifted.tolist()]
     return np.array(floors, dtype=np.int64 if lifted.max(initial=0.0) < 2.0**53 else object)
 
@@ -300,14 +321,14 @@ class ScalarSequence:
             raise ValueError("prefix must be one-dimensional")
         if arr.size and (np.any(arr < 0) or not np.all(np.isfinite(arr))):
             raise ValueError("prefix entries must be finite and nonnegative")
-        if arr.size > 1 and np.any(np.diff(arr) > 1e-12 * (1 + arr[:-1])):
+        if arr.size > 1 and np.any(np.diff(arr) > STORED_SLACK * (1 + arr[:-1])):
             raise ValueError("prefix must be nonincreasing")
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
         if self.tail is not None:
             junction = float(np.asarray(self.tail.value_at(arr.size + 1)))
             floor = arr[-1] if arr.size else math.inf
-            if junction > floor * (1 + 1e-9) + 1e-300:
+            if exceeds(junction, floor, DERIVED_SLACK):
                 raise ValueError("tail start exceeds last prefix entry")
 
     # -- constructors -------------------------------------------------
@@ -381,7 +402,7 @@ class ScalarSequence:
     @functools.cached_property
     def _positive_prefix(self) -> tuple[np.ndarray, bool]:
         """The positive prefix entries, and whether they never rise (the
-        prefix may rise within its 1e-12 tolerance)."""
+        prefix may rise within its STORED_SLACK tolerance)."""
         pos = self.prefix[self.prefix > 0]
         return pos, bool((pos[1:] <= pos[:-1]).all())
 
@@ -428,11 +449,6 @@ class ScalarSequence:
             t = self.tail.weak_sup(p, self.prefix.size)
             sup = max(sup, self.repeat ** (1.0 / p) * t)
         return sup
-
-    def total_count_nonzero(self) -> float:
-        if self.tail is not None:
-            return math.inf
-        return self.repeat * int(np.count_nonzero(self.prefix))
 
     # -- transforms ----------------------------------------------------
 

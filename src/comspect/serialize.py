@@ -26,7 +26,6 @@ __all__ = [
     "canonical_json",
     "load_json_file",
     "matrix_from_json",
-    "matrix_to_json",
     "scalar_sequence_from_json",
     "eigen_input_from_json",
     "complex_pair",
@@ -117,15 +116,6 @@ def matrix_from_json(doc) -> np.ndarray:
         raise SchemaError(f"field 'entries' must hold n*n = {n * n} pairs, got {len(entries)}")
     flat = [_complex_pair(item, "entries", i) for i, item in enumerate(entries)]
     return np.array(flat, dtype=np.complex128).reshape(n, n)
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "n": int(m.shape[0]),
-        "entries": [complex_pair(z) for z in m.ravel()],
-    }
 
 
 def _number(value, name: str, index: int | None = None) -> float:
@@ -221,8 +211,12 @@ def verdict_to_json(v: MembershipVerdict) -> dict:
     return {"status": v.status, "scale": v.scale, "evidence": dict(v.evidence)}
 
 
-def sequence_summary(s: ScalarSequence, head: int = 16) -> dict:
-    doc: dict = {"head": list(s.head(min(head, max(s.base_length * s.repeat, 1))))}
+# leading entries a sequence summary shows
+_SUMMARY_HEAD = 16
+
+
+def sequence_summary(s: ScalarSequence) -> dict:
+    doc: dict = {"head": list(s.head(min(_SUMMARY_HEAD, max(s.base_length * s.repeat, 1))))}
     if isinstance(s.tail, PowerTail):
         doc["tail"] = {"kind": "power", "c": s.tail.c, "a": s.tail.a}
     elif isinstance(s.tail, GeometricTail):

@@ -31,10 +31,13 @@ __all__ = [
 ]
 
 
-def matrix_fingerprint(m: np.ndarray) -> str:
-    """Short stable hash of the matrix bytes, for error reports and logs."""
-    data = np.ascontiguousarray(m, dtype=np.complex128)
-    return hashlib.sha1(data.tobytes()).hexdigest()[:12]
+def matrix_fingerprint(*parts) -> str:
+    """Short stable hash of the given arrays' bytes, each in its own dtype (or
+    of bytes objects as they are), for error reports and violation records."""
+    acc = hashlib.sha1()
+    for part in parts:
+        acc.update(part if isinstance(part, bytes) else np.ascontiguousarray(part).tobytes())
+    return acc.hexdigest()[:12]
 
 
 def validate_matrix(m) -> np.ndarray:
@@ -58,29 +61,23 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSequence:
-    """Eigenvalues in canonical order, zero-padded beyond ``logical_length``."""
+    """Eigenvalues in canonical order, multiplicities included."""
 
     values: np.ndarray
-    logical_length: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if self.logical_length < vals.size:
-            raise ValueError("logical_length shorter than stored values")
         mods = round_sig(np.abs(vals))
         if vals.size > 1 and np.any(np.diff(mods) > 0):
             raise ValueError("moduli must be nonincreasing")
 
     @classmethod
-    def from_values(cls, values, logical_length: int | None = None) -> "EigenSequence":
+    def from_values(cls, values) -> "EigenSequence":
         vals = np.asarray(values, dtype=np.complex128).ravel()
-        vals = vals[_canonical_order(vals)]
-        if logical_length is None:
-            logical_length = vals.size
-        return cls(vals, logical_length)
+        return cls(vals[_canonical_order(vals)])
 
     @property
     def moduli(self) -> np.ndarray:
@@ -97,8 +94,8 @@ class EigenSequence:
 
     def scaled(self, alpha: complex) -> "EigenSequence":
         if alpha == 0:
-            return EigenSequence(np.zeros_like(self.values), self.logical_length)
-        return EigenSequence(self.values * alpha, self.logical_length)
+            return EigenSequence(np.zeros_like(self.values))
+        return EigenSequence(self.values * alpha)
 
 
 def eigenvalue_sequence(m) -> EigenSequence:
@@ -108,7 +105,7 @@ def eigenvalue_sequence(m) -> EigenSequence:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
-    return EigenSequence.from_values(vals, arr.shape[0])
+    return EigenSequence.from_values(vals)
 
 
 def singular_sequence(m) -> ScalarSequence:

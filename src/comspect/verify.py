@@ -11,7 +11,6 @@ implementations.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -32,11 +31,12 @@ from .criterion import (
     witness_3_to_4,
     witness_4_to_3,
 )
-from .sequences import PowerTail, ScalarSequence, frac_index
+from .sequences import DERIVED_SLACK, PowerTail, ScalarSequence, frac_index
 from .spectral import (
     EigenSequence,
     eigenvalue_sequence,
     hermitian_split,
+    matrix_fingerprint,
     singular_sequence,
 )
 
@@ -45,7 +45,6 @@ __all__ = [
     "SuiteReport",
     "gen_matrix",
     "run_suite",
-    "estimate_constant",
     "suite_names",
 ]
 
@@ -69,8 +68,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1 or self.max_dim < 2:
             raise ValueError("need trials >= 1 and max_dim >= 2")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
 
     @property
     def resolved_tolerance(self) -> float:
@@ -170,25 +169,21 @@ def _normal_matrix(rng: np.random.Generator, max_dim: int) -> np.ndarray:
     return m
 
 
-def _fp(*mats) -> str:
-    acc = hashlib.sha1()
-    for m in mats:
-        acc.update(np.ascontiguousarray(np.atleast_2d(m), dtype=np.complex128).tobytes())
-    return acc.hexdigest()[:12]
-
-
 # ---------------------------------------------------------------------------
 # suite bodies: one trial each
 
 
-def _trial_weyl(rng, cfg, mutated: bool) -> _Trial:
+def _padded_pair(rng, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Two mixed matrices, the smaller zero-padded to the larger's dimension."""
     s_m = _mixed_matrix(rng, cfg.max_dim)
     t_m = _mixed_matrix(rng, cfg.max_dim)
     d = max(s_m.shape[0], t_m.shape[0])
-    if s_m.shape[0] != d:
-        s_m = np.pad(s_m, ((0, d - s_m.shape[0]),) * 2)
-    if t_m.shape[0] != d:
-        t_m = np.pad(t_m, ((0, d - t_m.shape[0]),) * 2)
+    return tuple(m if m.shape[0] == d else np.pad(m, ((0, d - m.shape[0]),) * 2) for m in (s_m, t_m))
+
+
+def _trial_weyl(rng, cfg, mutated: bool) -> _Trial:
+    s_m, t_m = _padded_pair(rng, cfg)
+    d = s_m.shape[0]
     ss = singular_sequence(s_m)
     st = singular_sequence(t_m)
     ssum = singular_sequence(s_m + t_m)
@@ -215,7 +210,7 @@ def _trial_weyl(rng, cfg, mutated: bool) -> _Trial:
             if slack > worst[0]:
                 worst = (slack, lh, rh)
     _, lhs, rhs = worst
-    return _Trial(lhs, rhs, True, _fp(s_m, t_m))
+    return _Trial(lhs, rhs, True, matrix_fingerprint(s_m, t_m))
 
 
 def _trial_horn(rng, cfg, mutated: bool) -> _Trial:
@@ -239,7 +234,7 @@ def _trial_horn(rng, cfg, mutated: bool) -> _Trial:
         if slack > worst[0]:
             worst = (slack, lhs, rhs)
     _, lhs, rhs = worst
-    return _Trial(lhs, rhs, informative, _fp(t_m))
+    return _Trial(lhs, rhs, informative, matrix_fingerprint(t_m))
 
 
 def _trial_lemma2_2(rng, cfg, mutated: bool) -> _Trial:
@@ -249,7 +244,7 @@ def _trial_lemma2_2(rng, cfg, mutated: bool) -> _Trial:
     if mutated:
         lhs, rhs = rhs, lhs
     ratio = lhs / rhs if rhs > 0 else None
-    return _Trial(lhs, rhs, rhs > 0, _fp(t_m), ratio)
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(t_m), ratio)
 
 
 def _nu_scaled_singular(m: np.ndarray, factor: float) -> int:
@@ -257,13 +252,7 @@ def _nu_scaled_singular(m: np.ndarray, factor: float) -> int:
 
 
 def _trial_lemma2_3(rng, cfg, mutated: bool) -> _Trial:
-    s_m = _mixed_matrix(rng, cfg.max_dim)
-    t_m = _mixed_matrix(rng, cfg.max_dim)
-    d = max(s_m.shape[0], t_m.shape[0])
-    if s_m.shape[0] != d:
-        s_m = np.pad(s_m, ((0, d - s_m.shape[0]),) * 2)
-    if t_m.shape[0] != d:
-        t_m = np.pad(t_m, ((0, d - t_m.shape[0]),) * 2)
+    s_m, t_m = _padded_pair(rng, cfg)
     factor = 1.0 if mutated else 2.0
     lhs = float(_nu_scaled_singular(s_m + t_m, 1.0))
     rhs = float(_nu_scaled_singular(s_m, factor) + _nu_scaled_singular(t_m, factor))
@@ -272,7 +261,7 @@ def _trial_lemma2_3(rng, cfg, mutated: bool) -> _Trial:
     rhs_h = (factor) * _nu_scaled_singular(t_m, 1.0)
     if (lhs_h - rhs_h) > (lhs - rhs):
         lhs, rhs = lhs_h, float(rhs_h)
-    return _Trial(lhs, rhs, rhs > 0, _fp(s_m, t_m))
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(s_m, t_m))
 
 
 def _trial_lemma2_4_1(rng, cfg, mutated: bool) -> _Trial:
@@ -283,7 +272,7 @@ def _trial_lemma2_4_1(rng, cfg, mutated: bool) -> _Trial:
     n_t = nu(eig_t)
     rhs = max(n_t - 1.0, 0.0) if mutated else float(n_t)
     ratio = lhs / rhs if rhs > 0 else None
-    return _Trial(lhs, rhs, rhs > 0, _fp(t_m), ratio)
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(t_m), ratio)
 
 
 def _trial_lemma2_4_2(rng, cfg, mutated: bool) -> _Trial:
@@ -300,7 +289,7 @@ def _trial_lemma2_4_2(rng, cfg, mutated: bool) -> _Trial:
     n_t = nu(eig)
     rhs = 0.5 * n_t if mutated else float(n_t)
     ratio = lhs / rhs if rhs > 0 else None
-    return _Trial(lhs, rhs, rhs > 0, _fp(t_m), ratio)
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(t_m), ratio)
 
 
 def _trial_lemma2_4_3(rng, cfg, mutated: bool) -> _Trial:
@@ -326,7 +315,7 @@ def _trial_lemma2_4_3(rng, cfg, mutated: bool) -> _Trial:
     factor = (n_ops - 2.0) if mutated else (n_ops - 1.0)
     rhs = factor * sum(nus)
     ratio = lhs / rhs if rhs > 0 else None
-    return _Trial(lhs, rhs, rhs > 0, _fp(*[np.diag(d) for d in diags]), ratio)
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(*[np.diag(d) for d in diags]), ratio)
 
 
 def _trial_lemma2_5(rng, cfg, mutated: bool) -> _Trial:
@@ -337,7 +326,7 @@ def _trial_lemma2_5(rng, cfg, mutated: bool) -> _Trial:
     factor = 1.0 if mutated else math.e
     rhs = factor * nu(eig)
     ratio = (lhs / (math.e * nu(eig))) if nu(eig) > 0 else None
-    return _Trial(lhs, rhs, rhs > 0, _fp(t_m), ratio)
+    return _Trial(lhs, rhs, rhs > 0, matrix_fingerprint(t_m), ratio)
 
 
 def _huber_log(z: np.ndarray) -> np.ndarray:
@@ -369,7 +358,7 @@ def _trial_lemma2_1_3(rng, cfg, mutated: bool) -> _Trial:
     rhs = circle_mean(s_m, t_m, f, nodes=cfg.nodes, delta=1.0)
     if mutated:
         lhs, rhs = rhs, lhs
-    return _Trial(lhs, rhs, abs(rhs) > 0, _fp(s_m, t_m))
+    return _Trial(lhs, rhs, abs(rhs) > 0, matrix_fingerprint(s_m, t_m))
 
 
 def _trial_thm2_7(rng, cfg, mutated: bool) -> _Trial:
@@ -384,7 +373,7 @@ def _trial_thm2_7(rng, cfg, mutated: bool) -> _Trial:
     c2 = 0.02 if mutated else derived_c2(pair)
     rhs = c2 * mu2
     ratio = lhs / mu2 if mu2 > 0 else None
-    return _Trial(lhs, rhs, mu2 > 0, _fp(t_m), ratio)
+    return _Trial(lhs, rhs, mu2 > 0, matrix_fingerprint(t_m), ratio)
 
 
 def _random_finite_eigen(rng, max_len: int = 50) -> EigenSequence:
@@ -406,22 +395,21 @@ def _trial_thm3_1_cycle(rng, cfg, mutated: bool) -> _Trial:
     margin_c_u = float(np.max(means - env.prefix)) if sums.size else 0.0
     t4 = witness_3_to_4(dominating_witness(lam, env))
     c4 = condition4_check(lam, t4)
-    stage2 = 0.0 if (c4.holds and c4.worst_ratio <= 1 + 1e-9) else 1.0
+    stage2 = 0.0 if (c4.holds and c4.worst_ratio <= 1 + DERIVED_SLACK) else 1.0
     try:
         witness_4_to_3(lam, t4)
         stage3 = 0.0
     except (ValueError, NotImplementedError):
         stage3 = 1.0
     lhs = max(margin_c_u, stage2, stage3)
-    fp = hashlib.sha1(np.ascontiguousarray(lam.values).tobytes()).hexdigest()[:12]
-    return _Trial(lhs, 0.0, True, fp, None)
+    return _Trial(lhs, 0.0, True, matrix_fingerprint(lam.values), None)
 
 
 def _trial_cycle_control(rng) -> _Trial:
     """Factor-2 tightness: a witness satisfying condition (4) exactly while
     the means exceed it pointwise — the un-doubled claim must fail."""
     g = float(rng.uniform(2.2, 3.8))
-    lam = EigenSequence(np.array([g, 1, 1, 1, 1], dtype=complex), 5)
+    lam = EigenSequence(np.array([g, 1, 1, 1, 1], dtype=complex))
     total = g + 4.0
     c_t = math.ceil(total) + 2.0
     m0 = int(math.ceil(c_t))
@@ -438,8 +426,7 @@ def _trial_cycle_control(rng) -> _Trial:
     s_vals = np.asarray(t.value(np.arange(1, 6)))
     # asserted (false) claim: condition (4) alone forces c_n <= s_n(T)
     lhs = float(np.max(means - s_vals)) if c4.holds else 0.0
-    fp = hashlib.sha1(np.float64(g).tobytes()).hexdigest()[:12]
-    return _Trial(lhs, 0.0, c4.holds, fp, None)
+    return _Trial(lhs, 0.0, c4.holds, matrix_fingerprint(np.float64(g)), None)
 
 
 def _random_law_sequence(rng, p: float) -> ScalarSequence:
@@ -467,8 +454,7 @@ def _trial_prop3_2(rng, cfg, mutated: bool) -> _Trial:
         lhs, rhs = ratio, (2.0 * math.e) ** theta
         if not membership(t, ideal).is_in:
             lhs, rhs = 1.0, 0.0  # stability itself failed
-    fp = hashlib.sha1(repr((p, s.tail)).encode()).hexdigest()[:12]
-    return _Trial(lhs, rhs, True, fp, ratio)
+    return _Trial(lhs, rhs, True, matrix_fingerprint(repr((p, s.tail)).encode()), ratio)
 
 
 _RANDOM_SUITES = {
@@ -548,16 +534,3 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         report.empirical_constants["maxRatio"] = max(ratios)
     return report
 
-
-def estimate_constant(suite: str, config: SuiteConfig) -> float:
-    """Maximum observed lhs/rhs ratio over trials with a positive right side."""
-    cfg = SuiteConfig(
-        suite=suite,
-        trials=config.trials,
-        max_dim=config.max_dim,
-        seed=config.seed,
-        tolerance=config.tolerance,
-        nodes=config.nodes,
-    )
-    report = run_suite(cfg)
-    return report.empirical_constants.get("maxRatio", math.nan)

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 from comspect import cli
 from comspect import criterion as crit
 from comspect.errors import NumericalError
-from comspect.sequences import GeometricTail, PowerTail, ScalarSequence
+from comspect.sequences import DERIVED_SLACK, GeometricTail, PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
 # ---------------------------------------------------------------------------
@@ -147,17 +147,17 @@ def _old_scan(lam, t, use_mu):
         b_next = grid[i + 1] if i + 1 < len(grid) else alpha_cap
         for left, right_val in [(b * sum_abs, right), (b_next * sum_abs, rhs(b_next) if use_mu else right)]:
             worst = max(worst, left / max(right_val, 1.0))
-            if left > right_val + crit._SLACK * (1.0 + right_val):
+            if left > right_val + DERIVED_SLACK * (1.0 + right_val):
                 holds = False
                 failing = failing if failing is not None else b
     if holds and state == "fail":
         holds = False
-        failing = crit._find_failure(lhs, rhs, base_cap, crit._SLACK)
+        failing = crit._find_failure(lhs, rhs, base_cap)
         if failing is not None:
             worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
     elif holds and state == "ok" and total > 0.0:
         edge_rhs = rhs(alpha_cap)
-        if lhs(alpha_cap) > edge_rhs + crit._SLACK * (1.0 + edge_rhs):
+        if lhs(alpha_cap) > edge_rhs + DERIVED_SLACK * (1.0 + edge_rhs):
             holds, failing = False, alpha_cap
     return crit.ConditionCheck(holds, worst, len(grid), failing), grid, alpha_cap
 
@@ -256,7 +256,7 @@ def test_prefix_rising_within_tolerance_keeps_masked_sums():
 
 def test_failing_state_search_matches():
     # a finite witness with a nonzero total: the right side eventually loses
-    lam = EigenSequence(np.array([2.0, 1.0], dtype=complex), 2)
+    lam = EigenSequence(np.array([2.0, 1.0], dtype=complex))
     t = ScalarSequence.finite([3.0, 3.0, 1.0])
     for use_mu, check in ((False, crit.condition4_check), (True, crit.condition5_check)):
         assert _same_check(check(lam, t), _old_scan(lam, t, use_mu)[0])

@@ -102,6 +102,22 @@ class TestCriterion:
         n1 = rows[1].split(",")
         assert float(n1[1]) <= float(n1[2]) + 1e-12
 
+    def test_table_on_cancelling_values(self, tmp_path, capsys):
+        # the total cancels, so the means beyond the list are 0 and the
+        # witness, with no tail, dominates them
+        from comspect import cli
+
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps({"kind": "finite", "values": [1, -0.9999999999999999]}))
+        table = tmp_path / "cu.csv"
+        argv = ["criterion", "-i", str(path), "--ideal", "schatten:p=1", "--emit-table", str(table), "--table-rows", "6"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["condition3Witness"]["tail"] is None
+        rows = [line.split(",") for line in table.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(c_n) <= float(u_n) for _, c_n, u_n in rows)
+        assert [float(c_n) for _, c_n, _ in rows[2:]] == [0.0] * 4
+
     def test_bad_ideal_string(self, diag_matrix):
         r = _run(["criterion", "-i", diag_matrix, "--ideal", "nuclear:p=1"])
         assert r.returncode == 2
@@ -131,6 +147,40 @@ class TestStability:
         rows = table.read_text().strip().splitlines()
         assert rows[0] == "n,s_n,t_n,u_n"
         assert len(rows) == 9
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--ideal", "schatten:p=1", "--n-max", "0"],
+            ["stability", "--ideal", "schatten:p=1", "--n-max", "-1"],
+            ["stability", "--ideal", "schatten:p=1", "--table-rows", "0"],
+            ["criterion", "--ideal", "schatten:p=1", "--table-rows", "-3"],
+            ["criterion", "--ideal", "schatten:p=1", "--prefix-length", "-5"],
+            ["criterion", "--ideal", "schatten:p=1", "--prefix-length", "ten"],
+        ],
+        ids=["n-max-0", "n-max-neg", "stability-rows-0", "criterion-rows-neg", "prefix-neg", "prefix-text"],
+    )
+    def test_nonpositive_counts_are_usage_errors(self, tmp_path, capsys, argv):
+        from comspect import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "-i", str(tmp_path / "unread.json"), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {argv[-2]}" in err
+
+
+class TestVerifyTolerance:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_rejected(self, capsys, value):
+        from comspect import cli
+
+        assert cli.main(["verify", "--suite", "lemma2_5_control", "--trials", "200", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"input error: tolerance must be finite and nonnegative, got {value}"
 
 
 class TestExitCodes:

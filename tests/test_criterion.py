@@ -19,7 +19,7 @@ from comspect.spectral import EigenSequence
 
 
 def _eig(values):
-    return EigenSequence(np.asarray(values, dtype=complex), len(values))
+    return EigenSequence(np.asarray(values, dtype=complex))
 
 
 def _random_eigen(rng, max_len=50):
@@ -225,8 +225,8 @@ class TestPaperInvariants:
 
     def test_verdict_invariant_under_modulus_reordering(self):
         # same multiset, different admissible arrangements: same verdict
-        a = EigenSequence(np.array([2.0, -2.0, 1.0, -1.0], dtype=complex), 4)
-        b = EigenSequence(np.array([-2.0, 2.0, -1.0, 1.0], dtype=complex), 4)
+        a = EigenSequence(np.array([2.0, -2.0, 1.0, -1.0], dtype=complex))
+        b = EigenSequence(np.array([-2.0, 2.0, -1.0, 1.0], dtype=complex))
         for spec in (IdealSpec.schatten(1), IdealSpec.schatten(2), IdealSpec.weak_lp(1)):
             assert condition2(a, spec).status == condition2(b, spec).status
 

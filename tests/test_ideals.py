@@ -22,7 +22,7 @@ from comspect.spectral import EigenSequence
 
 
 def _eig(values):
-    return EigenSequence(np.asarray(values, dtype=complex), len(values))
+    return EigenSequence(np.asarray(values, dtype=complex))
 
 
 class TestIdealSpec:

@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comspect.sequences import (
+    STORED_SLACK,
+    TINY,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
     ScalarSequence,
+    exceeds,
     frac_index,
     merge_decreasing,
     round_sig,
@@ -195,3 +198,46 @@ class TestRoundSig:
         plain = np.round(x * scale) / scale
         assert np.array_equal(round_sig(x).view(np.uint64), plain.view(np.uint64))
 
+
+
+class TestSlackPolicy:
+    def test_lower_side_form_rounds_like_the_direct_form(self):
+        # exceeds(-a, -b, -rel, tiny) is a < b*(1 - rel) - tiny, bit for bit
+        rng = np.random.default_rng(11)
+        b = np.concatenate([10.0 ** rng.uniform(-310, 308, 4000), [0.0, 1e-300, 5e-324, math.inf]])
+        for a in (b, np.nextafter(b * (1 - STORED_SLACK) - TINY, -math.inf), b * (1 - STORED_SLACK) - TINY):
+            direct = a < b * (1 - STORED_SLACK) - TINY
+            assert np.array_equal(exceeds(-a, -b, -STORED_SLACK), direct)
+            assert np.array_equal(exceeds(-a, -b, -STORED_SLACK, 0.0), a < b * (1 - STORED_SLACK))
+
+    def test_slack_literals_live_in_the_policy_block(self):
+        # comparison slacks are the named constants of sequences.py; the only
+        # other such literal is the Chebyshev fit tolerance of the cutoff pair,
+        # a construction tolerance rather than a comparison slack
+        import ast
+        import pathlib
+
+        import comspect
+
+        policy = {1e-9, 1e-12, 1e-300}
+        allowed = {("sequences.py", "STORED_SLACK"), ("sequences.py", "DERIVED_SLACK"), ("sequences.py", "TINY"),
+                   ("cutoffs.py", "_INTERP_TOL")}
+        found = []
+        for path in sorted(pathlib.Path(comspect.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {
+                id(node.value)
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and (path.name, getattr(node.targets[0], "id", None)) in allowed
+            }
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Constant)
+                    and type(node.value) is float
+                    and node.value in policy
+                    and id(node) not in exempt
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        assert found == []

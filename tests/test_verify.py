@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from comspect.verify import SuiteConfig, estimate_constant, gen_matrix, run_suite, suite_names
+from comspect.verify import SuiteConfig, gen_matrix, run_suite, suite_names
 
 BASE_SUITES = [
     "weyl",
@@ -103,16 +103,34 @@ class TestRunSuite:
 class TestEstimateConstant:
     def test_lemma2_2_ratio_at_most_one(self):
         cfg = SuiteConfig(suite="lemma2_2", trials=300, max_dim=8, seed=2)
-        ratio = estimate_constant("lemma2_2", cfg)
+        ratio = run_suite(cfg).empirical_constants["maxRatio"]
         assert ratio <= 1 + 1e-12
 
     def test_monotone_in_trials(self):
-        lo = estimate_constant("thm2_7", SuiteConfig(suite="thm2_7", trials=50, seed=4))
-        hi = estimate_constant("thm2_7", SuiteConfig(suite="thm2_7", trials=150, seed=4))
+        lo = run_suite(SuiteConfig(suite="thm2_7", trials=50, seed=4)).empirical_constants["maxRatio"]
+        hi = run_suite(SuiteConfig(suite="thm2_7", trials=150, seed=4)).empirical_constants["maxRatio"]
         assert hi >= lo
 
     def test_scaling_ratio_approaches_one(self):
         # equality in the scaling bound is approached near alpha = 1/|lambda_1|
         cfg = SuiteConfig(suite="lemma2_4_2", trials=400, max_dim=8, seed=6)
-        ratio = estimate_constant("lemma2_4_2", cfg)
+        ratio = run_suite(cfg).empirical_constants["maxRatio"]
         assert 0.5 <= ratio <= 1 + 1e-9
+
+
+class TestFingerprints:
+    """Fingerprints computed once with the per-caller hashes they replaced;
+    the control suites' fingerprints are part of their reports."""
+
+    def test_matrix_fingerprint(self):
+        from comspect.spectral import matrix_fingerprint
+
+        assert matrix_fingerprint(np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]])) == "e637fd5fe61b"
+
+    @pytest.mark.parametrize(
+        "suite, fingerprint",
+        [("weyl_control", "436213be2880"), ("thm3_1_cycle_control", "e8e335874d9f"), ("prop3_2_control", "81fb26d790ea")],
+    )
+    def test_first_control_violation(self, suite, fingerprint):
+        report = run_suite(SuiteConfig(suite=suite, trials=20, seed=0))
+        assert report.violations[0]["fingerprint"] == fingerprint
