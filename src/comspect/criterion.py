@@ -37,6 +37,7 @@ from .ideals import (
 from .sequences import (
     BLOCK,
     STORED_SLACK,
+    TINY,
     FactorialPowerTail,
     GeometricTail,
     ScalarSequence,
@@ -290,7 +291,7 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     horizon = max(mods.size, t.base_length * t.repeat) + t.repeat
     ns = np.arange(1, horizon + 1)
     t_vals = np.asarray(t.value(ns))
-    short = exceeds(-t_vals[: mods.size], -mods, -STORED_SLACK)  # s_n below |lambda_n|
+    short = t_vals[: mods.size] < mods * (1 - STORED_SLACK) - TINY
     if np.any(short):
         raise ValueError(f"witness fails s_n >= |lambda_n| at n={int(np.argmax(short)) + 1}")
     sums = lam.partial_sums()
@@ -324,7 +325,7 @@ def _certify_tail_domination(total: float, t: ScalarSequence, checked: int) -> N
     lower = 2.0 * c * (n0 / r + 1.0) ** (-a) * n0
     if a == 1.0:
         lower = 2.0 * c * r * n0 / (n0 + r)
-    if exceeds(-lower, -total, -STORED_SLACK, 0.0):  # lower below total
+    if lower < total * (1 - STORED_SLACK):
         raise ValueError("factor-2 domination fails beyond the checked horizon")
 
 

@@ -140,16 +140,16 @@ def make_phi() -> SmoothStep:
     return SmoothStep()
 
 
-def _interpolate_adaptive(fn, lo: float, hi: float, tol: float) -> Chebyshev:
+def _interpolate_adaptive(fn, lo: float, hi: float) -> Chebyshev:
     """Chebyshev fit with degree escalation until the coefficient tail decays."""
     for deg in (32, 64, 128, 256, 512):
         poly = Chebyshev.interpolate(fn, deg, domain=[lo, hi])
         coef = np.abs(poly.coef)
         scale = coef.max() if coef.max() > 0 else 1.0
-        if np.all(coef[-6:] < tol * scale):
-            return poly.trim(tol * scale * 1e-2)
+        if np.all(coef[-6:] < _INTERP_TOL * scale):
+            return poly.trim(_INTERP_TOL * scale * 1e-2)
     raise NumericalError(
-        f"Chebyshev interpolation on [{lo}, {hi}] did not reach tolerance {tol}"
+        f"Chebyshev interpolation on [{lo}, {hi}] did not reach tolerance {_INTERP_TOL}"
     )
 
 
@@ -185,7 +185,7 @@ class ConvexCorrector:
         d1_left = 0.0  # psi'(0) = 0, forced by the double-integral definition
         val_left = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            s2 = _interpolate_adaptive(second, lo, hi, _INTERP_TOL)
+            s2 = _interpolate_adaptive(second, lo, hi)
             s1 = s2.integ(1, k=[d1_left], lbnd=lo)
             s0 = s1.integ(1, k=[val_left], lbnd=lo)
             self._pieces.append((lo, hi, s0, s1))
@@ -194,9 +194,9 @@ class ConvexCorrector:
         self.value_at_one = val_left
         self.slope_at_one = d1_left
 
-        self._self_check(tol=_QUADRATURE_TOL, cuts=cuts)
+        self._self_check(cuts)
 
-    def _self_check(self, tol: float, cuts) -> None:
+    def _self_check(self, cuts) -> None:
         """Compare the interpolants against direct adaptive quadrature of the
         scalar integrand."""
         from scipy import integrate
@@ -207,11 +207,11 @@ class ConvexCorrector:
             ref, _ = integrate.quad(
                 lambda t: _psi_second_scalar(t) * (x - t), 0.0, x, points=pts, limit=200
             )
-            if abs(d1_ref - self.d1(x)) > tol * (1 + abs(d1_ref)) or abs(
+            if abs(d1_ref - self.d1(x)) > _QUADRATURE_TOL * (1 + abs(d1_ref)) or abs(
                 ref - self(x)
-            ) > tol * (1 + abs(ref)):
+            ) > _QUADRATURE_TOL * (1 + abs(ref)):
                 raise NumericalError(
-                    f"corrector quadrature failed to reach {tol} at x={x}"
+                    f"corrector quadrature failed to reach {_QUADRATURE_TOL} at x={x}"
                 )
 
     def _eval(self, x, which: int):

@@ -42,21 +42,17 @@ ROUND_DIGITS = 12
 # or exceeds_scaled() below, or names one of these constants.
 STORED_SLACK = 1e-12  # relative, between stored values: prefix order, dominations, cancelled totals
 DERIVED_SLACK = 1e-9  # relative, for computed sides: alpha scans, functional bounds, floor lifts
-TINY = 1e-300  # absolute floor of exceeds(): a comparison against zero needs a real excess
+TINY = 1e-300  # absolute floor: a comparison against zero needs a real excess
 
 
-def exceeds(a, b, rel=STORED_SLACK, tiny=TINY):
-    """a > b * (1 + rel) + tiny, elementwise.
-
-    The lower-side test a < b * (1 - rel) - tiny is exceeds(-a, -b, -rel, tiny):
-    negation is exact in floating point, so both forms round alike.
-    """
-    return a > b * (1 + rel) + tiny
+def exceeds(a, b, rel=STORED_SLACK):
+    """a > b * (1 + rel) + TINY, elementwise."""
+    return a > b * (1 + rel) + TINY
 
 
-def exceeds_scaled(a, b, rel=DERIVED_SLACK):
-    """a > b + rel * (1 + |b|), elementwise."""
-    return a > b + rel * (1 + abs(b))
+def exceeds_scaled(a, b):
+    """a > b + DERIVED_SLACK * (1 + |b|), elementwise."""
+    return a > b + DERIVED_SLACK * (1 + abs(b))
 
 
 # elements per block of the batched queries: rows x prefix entries for the

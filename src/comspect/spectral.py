@@ -32,11 +32,13 @@ __all__ = [
 
 
 def matrix_fingerprint(*parts) -> str:
-    """Short stable hash of the given arrays' bytes, each in its own dtype (or
-    of bytes objects as they are), for error reports and violation records."""
+    """Short stable hash of the given matrices' complex128 bytes (bytes objects
+    enter as they are), for error reports and violation records."""
     acc = hashlib.sha1()
     for part in parts:
-        acc.update(part if isinstance(part, bytes) else np.ascontiguousarray(part).tobytes())
+        if not isinstance(part, bytes):
+            part = np.ascontiguousarray(part, dtype=np.complex128).tobytes()
+        acc.update(part)
     return acc.hexdigest()[:12]
 
 

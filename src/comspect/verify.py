@@ -426,7 +426,7 @@ def _trial_cycle_control(rng) -> _Trial:
     s_vals = np.asarray(t.value(np.arange(1, 6)))
     # asserted (false) claim: condition (4) alone forces c_n <= s_n(T)
     lhs = float(np.max(means - s_vals)) if c4.holds else 0.0
-    return _Trial(lhs, 0.0, c4.holds, matrix_fingerprint(np.float64(g)), None)
+    return _Trial(lhs, 0.0, c4.holds, matrix_fingerprint(np.float64(g).tobytes()), None)
 
 
 def _random_law_sequence(rng, p: float) -> ScalarSequence:

@@ -103,13 +103,13 @@ class TestSelfCheck:
     def test_perturbed_piece_fails_the_check(self, which):
         psi = make_psi(make_phi())
         cuts = [piece[0] for piece in psi._pieces] + [1.0]
-        psi._self_check(tol=1e-10, cuts=cuts)
+        psi._self_check(cuts)
         k = next(i for i, (lo, hi, _, _) in enumerate(psi._pieces) if lo <= 0.5 < hi)
         piece = list(psi._pieces[k])
         piece[which] = piece[which] + 1e-8
         psi._pieces[k] = tuple(piece)
         with pytest.raises(NumericalError):
-            psi._self_check(tol=1e-10, cuts=cuts)
+            psi._self_check(cuts)
 
 
 class TestC1Constant:

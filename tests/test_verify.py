@@ -127,6 +127,12 @@ class TestFingerprints:
 
         assert matrix_fingerprint(np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]])) == "e637fd5fe61b"
 
+    @pytest.mark.parametrize("m", [np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[1, 2], [0, -3]]), [[1, 2], [0, -3]]])
+    def test_real_input_hashes_as_its_complex_form(self, m):
+        from comspect.spectral import matrix_fingerprint
+
+        assert matrix_fingerprint(m) == "df483452125e"
+
     @pytest.mark.parametrize(
         "suite, fingerprint",
         [("weyl_control", "436213be2880"), ("thm3_1_cycle_control", "e8e335874d9f"), ("prop3_2_control", "81fb26d790ea")],
