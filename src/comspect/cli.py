@@ -159,21 +159,16 @@ def _write_table(path: str, rows: int, columns: dict) -> None:
             writer.writerow([n, *(f"{float(col(n)):.17g}" for col in columns.values())])
 
 
-def _emit_cu_table(path: str, lam, rows: int) -> None:
-    """The Cesàro means c_n beside the condition-(3) witness u_n."""
-    import numpy as np
-
-    from .criterion import condition3_witness
-    from .ideals import net_total
-
-    sums = lam.partial_sums()
-    means = np.abs(sums) / np.arange(1, sums.size + 1)
-    total = net_total(sums, lam.moduli)
+def _emit_cu_table(path: str, report, rows: int) -> None:
+    """The Cesàro means c_n beside the condition-(3) witness u_n of the
+    report, both over the eigenvalue list the witness was built from."""
+    lam = report.witness_sequence
+    means = lam.cesaro_means
 
     def c_n(n):
-        return means[n - 1] if n <= means.size else total / n
+        return means[n - 1] if n <= means.size else lam.net_total / n
 
-    _write_table(path, rows, {"c_n": c_n, "u_n": condition3_witness(lam).value})
+    _write_table(path, rows, {"c_n": c_n, "u_n": report.condition3_witness.value})
 
 
 def _check_json(check) -> dict:
@@ -187,8 +182,7 @@ def _check_json(check) -> dict:
 
 def _cmd_criterion(args) -> int:
     from .criterion import commutator_membership
-    from .ideals import EigenLaw, IdealSpec
-    from .errors import SchemaError
+    from .ideals import IdealSpec
     from .serialize import (
         SCHEMA_VERSION,
         canonical_json,
@@ -197,12 +191,8 @@ def _cmd_criterion(args) -> int:
         sequence_summary,
         verdict_to_json,
     )
-    from .spectral import EigenSequence, eigenvalue_sequence
 
-    try:
-        ideal = IdealSpec.parse(args.ideal)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    ideal = IdealSpec.parse(args.ideal)
     source = eigen_input_from_json(load_json_file(args.input))
     report = commutator_membership(source, ideal, prefix_length=args.prefix_length)
     doc = {
@@ -230,25 +220,15 @@ def _cmd_criterion(args) -> int:
         doc["hermitianSplit"] = None
     _write(canonical_json(doc), args.output)
     if args.emit_table:
-        if isinstance(source, EigenLaw):
-            lam = EigenSequence(source.prefix_values(args.table_rows))
-        elif isinstance(source, EigenSequence):
-            lam = source
-        else:
-            lam = eigenvalue_sequence(source)
-        _emit_cu_table(args.emit_table, lam, args.table_rows)
+        _emit_cu_table(args.emit_table, report, args.table_rows)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    from .errors import SchemaError
     from .ideals import IdealSpec, check_geometric_stability, dyadic_series_envelope, geometric_mean_seq
     from .serialize import SCHEMA_VERSION, canonical_json, load_json_file, scalar_sequence_from_json, verdict_to_json
 
-    try:
-        ideal = IdealSpec.parse(args.ideal)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    ideal = IdealSpec.parse(args.ideal)
     seq = scalar_sequence_from_json(load_json_file(args.input))
     report = check_geometric_stability(seq, ideal, n_max=args.n_max)
     doc = {
@@ -323,10 +303,7 @@ def main(argv=None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotImplementedError) as exc:
+    except (SchemaError, ValueError, NotImplementedError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -32,7 +32,6 @@ from .ideals import (
     cesaro_membership,
     cesaro_sequence,
     max_envelope,
-    net_total,
 )
 from .sequences import (
     BLOCK,
@@ -89,11 +88,8 @@ def condition2(lam, ideal: IdealSpec, prefix_length: int = 10**6) -> MembershipV
 def condition3_witness(lam: EigenSequence) -> ScalarSequence:
     """The max-envelope witness; dominates the Cesàro means by construction."""
     env = max_envelope(lam)
-    sums = lam.partial_sums()
-    if sums.size:
-        means = np.abs(sums) / np.arange(1, sums.size + 1)
-        if np.any(exceeds(means, env.prefix)):
-            raise NumericalError("envelope failed to dominate the Cesàro means")
+    if np.any(exceeds(lam.cesaro_means, env.prefix)):
+        raise NumericalError("envelope failed to dominate the Cesàro means")
     return env
 
 
@@ -118,11 +114,10 @@ def witness_3_to_4(t: ScalarSequence) -> ScalarSequence:
 def _chi_data(lam: EigenSequence):
     """The rounded moduli (ascending), |partial sums| indexed by the number of
     included values (0 first), and the total (0 when the values cancel)."""
-    sums = lam.partial_sums()
-    levels = np.sort(round_sig(lam.moduli))
+    levels = np.sort(lam.rounded_moduli)
     # Python's abs: numpy's complex abs differs from it in the last bit
-    partial_abs = np.array([0.0] + [abs(z) for z in sums.tolist()])
-    return levels, partial_abs, net_total(sums, lam.moduli)
+    partial_abs = np.array([0.0] + [abs(z) for z in lam.partial_sums.tolist()])
+    return levels, partial_abs, lam.net_total
 
 
 def _chi_abs(levels: np.ndarray, partial_abs: np.ndarray, alpha):
@@ -294,12 +289,10 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     short = t_vals[: mods.size] < mods * (1 - STORED_SLACK) - TINY
     if np.any(short):
         raise ValueError(f"witness fails s_n >= |lambda_n| at n={int(np.argmax(short)) + 1}")
-    sums = lam.partial_sums()
+    total = lam.net_total
     means = np.zeros(horizon)
-    if sums.size:
-        means[: sums.size] = np.abs(sums) / np.arange(1, sums.size + 1)
-    total = net_total(sums, mods)
-    means[sums.size :] = total / ns[sums.size :]
+    means[: mods.size] = lam.cesaro_means
+    means[mods.size :] = total / ns[mods.size :]
     viol = exceeds(means, 2.0 * t_vals)
     if np.any(viol):
         raise ValueError(f"factor-2 domination fails at n={int(np.argmax(viol)) + 1}")
@@ -336,9 +329,13 @@ class CriterionReport:
     condition4: ConditionCheck | None
     condition5: ConditionCheck | None
     verdict: str
-    witness_scale: int
+    witness_sequence: EigenSequence  # the list (3)-(5) were built from
     hermitian_split: dict | None = None
     explanation: str = ""
+
+    @property
+    def witness_scale(self) -> int:
+        return self.witness_sequence.values.size
 
 
 def _witness_checks(lam: EigenSequence):
@@ -366,21 +363,18 @@ def commutator_membership(
     """
     split_report = None
     if isinstance(source, EigenLaw):
-        lam_for_witness = EigenSequence(source.prefix_values(witness_prefix))
+        lam = EigenSequence(source.prefix_values(witness_prefix))
         cond2 = condition2(source, ideal, prefix_length)
-        scale = witness_prefix
     elif isinstance(source, EigenSequence):
-        lam_for_witness = source
+        lam = source
         cond2 = condition2(source, ideal)
-        scale = source.values.size
     else:
         matrix = validate_matrix(source)
-        lam_for_witness = eigenvalue_sequence(matrix)
-        cond2 = condition2(lam_for_witness, ideal)
-        scale = lam_for_witness.values.size
-        split_report = _hermitian_split_report(matrix, ideal)
+        lam = eigenvalue_sequence(matrix)
+        cond2 = condition2(lam, ideal)
+        split_report = _hermitian_split_report(matrix, lam, ideal)
 
-    env, c4, c5 = _witness_checks(lam_for_witness)
+    env, c4, c5 = _witness_checks(lam)
 
     if not ideal.geometrically_stable:
         verdict = UNDECIDED
@@ -397,15 +391,14 @@ def commutator_membership(
         condition4=c4,
         condition5=c5,
         verdict=verdict,
-        witness_scale=scale,
+        witness_sequence=lam,
         hermitian_split=split_report,
         explanation=explanation,
     )
 
 
-def _hermitian_split_report(matrix: np.ndarray, ideal: IdealSpec) -> dict:
+def _hermitian_split_report(matrix: np.ndarray, eig_t: EigenSequence, ideal: IdealSpec) -> dict:
     h, k = hermitian_split(matrix)
-    eig_t = eigenvalue_sequence(matrix)
     eig_h = eigenvalue_sequence(h)
     eig_k = eigenvalue_sequence(k)
     cond2_h = condition2(eig_h, ideal)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
-from .sequences import exceeds_scaled, round_sig
+from .sequences import exceeds_scaled
 from .spectral import EigenSequence, eigenvalue_sequence, validate_matrix
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 
 def nu(eig: EigenSequence) -> int:
     """Number of eigenvalues with modulus >= 1."""
-    return int(np.count_nonzero(round_sig(eig.moduli) >= 1.0))
+    return int(np.count_nonzero(eig.rounded_moduli >= 1.0))
 
 
 def mu(eig: EigenSequence) -> float:
@@ -50,7 +50,7 @@ def mu(eig: EigenSequence) -> float:
 
 def chi(eig: EigenSequence) -> complex:
     """Sum of the eigenvalues with modulus >= 1."""
-    sel = round_sig(eig.moduli) >= 1.0
+    sel = eig.rounded_moduli >= 1.0
     return complex(np.sum(eig.values[sel])) if np.any(sel) else 0j
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .sequences import (
     DERIVED_SLACK,
-    STORED_SLACK,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
@@ -36,7 +35,6 @@ __all__ = [
     "cesaro_sequence",
     "cesaro_membership",
     "max_envelope",
-    "net_total",
     "geometric_mean_seq",
     "dyadic_series_envelope",
     "check_geometric_stability",
@@ -210,17 +208,6 @@ class CesaroSequence:
     log_tail_coefficient: float | None = None  # c_n ~ coeff * ln n / n
 
 
-def net_total(sums: np.ndarray, moduli: np.ndarray) -> float:
-    """|lambda_1 + ... + lambda_n| from the partial sums, or 0.0 when the
-    values cancel: the total is at most STORED_SLACK times sum |lambda_k|."""
-    total = abs(complex(sums[-1])) if sums.size else 0.0
-    # moduli summing beyond the float range give an inf scale, so every total
-    # counts as cancelled; the inf partial sums are rejected downstream
-    with np.errstate(over="ignore"):
-        scale = float(np.sum(moduli)) or 1.0
-    return 0.0 if total <= STORED_SLACK * scale else total
-
-
 def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
     """Cesàro means of an eigenvalue sequence (finite or symbolic).
 
@@ -229,11 +216,8 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
     plus the asymptotic tail law implied by the partial-sum model.
     """
     if isinstance(lam, EigenSequence):
-        sums = lam.partial_sums()
-        n = np.arange(1, sums.size + 1)
-        prefix = np.abs(sums) / n
-        total = net_total(sums, lam.moduli)
-        return CesaroSequence(prefix, PowerTail(total, 1.0) if total else None, True)
+        total = lam.net_total
+        return CesaroSequence(lam.cesaro_means, PowerTail(total, 1.0) if total else None, True)
     if isinstance(lam, EigenLaw):
         # taken before the 10^6-term prefix arrays exist: importing mpmath on
         # first use while they were alive raised the peak RSS by ~14 MB
@@ -338,12 +322,10 @@ def max_envelope(lam: EigenSequence) -> ScalarSequence:
     beyond the stored length the means are |S_N|/m, whose supremum over
     m > N is |S_N|/(N+1), and the envelope continues as exactly |S_N|/m.
     """
-    sums = lam.partial_sums()
-    n = sums.size
+    means, total = lam.cesaro_means, lam.net_total
+    n = means.size
     if n == 0:
         return ScalarSequence(np.empty(0))
-    means = np.abs(sums) / np.arange(1, n + 1)
-    total = net_total(sums, lam.moduli)
     # suffix maximum of the stored means, then the tail supremum
     env = np.maximum.accumulate(means[::-1])[::-1]
     env = np.maximum(env, total / (n + 1))

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EigensolverError
-from .sequences import ScalarSequence, round_sig
+from .sequences import STORED_SLACK, ScalarSequence, round_sig
 
 __all__ = [
     "EigenSequence",
@@ -61,9 +62,19 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((-values.real, arg, -mod))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class EigenSequence:
-    """Eigenvalues in canonical order, multiplicities included."""
+    """Eigenvalues in canonical order, multiplicities included.
+
+    The data derived from the values (rounded moduli, partial sums, Cesàro
+    means and the cancelled total) is computed once, on first use, and held
+    read-only.
+    """
 
     values: np.ndarray
 
@@ -72,8 +83,7 @@ class EigenSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        mods = round_sig(np.abs(vals))
-        if vals.size > 1 and np.any(np.diff(mods) > 0):
+        if vals.size > 1 and np.any(np.diff(self.rounded_moduli) > 0):
             raise ValueError("moduli must be nonincreasing")
 
     @classmethod
@@ -85,14 +95,40 @@ class EigenSequence:
     def moduli(self) -> np.ndarray:
         return np.abs(self.values)
 
+    @cached_property
+    def rounded_moduli(self) -> np.ndarray:
+        """The moduli rounded to ROUND_DIGITS significant digits, the form
+        every threshold comparison (|lambda| >= 1, order ties) uses."""
+        return _read_only(round_sig(self.moduli))
+
+    @cached_property
     def partial_sums(self) -> np.ndarray:
-        """lambda_1 + ... + lambda_n for n = 1..len(values), in stored order.
+        """S_n = lambda_1 + ... + lambda_n for n = 1..len(values), in stored order.
 
         A sum beyond the float range is inf without a warning; the sequences
         built from it reject it as non-finite.
         """
         with np.errstate(over="ignore"):
-            return np.cumsum(self.values)
+            return _read_only(np.cumsum(self.values))
+
+    @cached_property
+    def cesaro_means(self) -> np.ndarray:
+        """The Cesàro means c_n = |S_n| / n over the stored values."""
+        sums = self.partial_sums
+        return _read_only(np.abs(sums) / np.arange(1, sums.size + 1))
+
+    @cached_property
+    def net_total(self) -> float:
+        """|S_N| for the whole list, or 0.0 when the values cancel: the total
+        is at most STORED_SLACK times sum |lambda_k|.  Beyond the list the
+        Cesàro means are exactly net_total / m."""
+        sums = self.partial_sums
+        total = abs(complex(sums[-1])) if sums.size else 0.0
+        # moduli summing beyond the float range give an inf scale, so every total
+        # counts as cancelled; the inf partial sums are rejected downstream
+        with np.errstate(over="ignore"):
+            scale = float(np.sum(self.moduli)) or 1.0
+        return 0.0 if total <= STORED_SLACK * scale else total
 
     def scaled(self, alpha: complex) -> "EigenSequence":
         if alpha == 0:

@@ -390,9 +390,7 @@ def _trial_thm3_1_cycle(rng, cfg, mutated: bool) -> _Trial:
         return _trial_cycle_control(rng)
     lam = _random_finite_eigen(rng)
     env = condition3_witness(lam)
-    sums = lam.partial_sums()
-    means = np.abs(sums) / np.arange(1, sums.size + 1)
-    margin_c_u = float(np.max(means - env.prefix)) if sums.size else 0.0
+    margin_c_u = float(np.max(lam.cesaro_means - env.prefix))
     t4 = witness_3_to_4(dominating_witness(lam, env))
     c4 = condition4_check(lam, t4)
     stage2 = 0.0 if (c4.holds and c4.worst_ratio <= 1 + DERIVED_SLACK) else 1.0
@@ -421,11 +419,9 @@ def _trial_cycle_control(rng) -> _Trial:
     prefix += [1.0] * (m0 - len(prefix))
     t = ScalarSequence(np.array(sorted(prefix, reverse=True)), PowerTail(c_t, 1.0))
     c4 = condition4_check(lam, t)
-    sums = np.abs(np.cumsum(lam.values))
-    means = sums / np.arange(1, 6)
     s_vals = np.asarray(t.value(np.arange(1, 6)))
     # asserted (false) claim: condition (4) alone forces c_n <= s_n(T)
-    lhs = float(np.max(means - s_vals)) if c4.holds else 0.0
+    lhs = float(np.max(lam.cesaro_means - s_vals)) if c4.holds else 0.0
     return _Trial(lhs, 0.0, c4.holds, matrix_fingerprint(np.float64(g).tobytes()), None)
 
 

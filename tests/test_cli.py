@@ -122,6 +122,71 @@ class TestCriterion:
         r = _run(["criterion", "-i", diag_matrix, "--ideal", "nuclear:p=1"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        ("ideal", "line"),
+        [
+            ("nuclear:p=1", "input error: unknown ideal family 'nuclear'"),
+            ("schatten", "input error: cannot parse ideal spec 'schatten'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["criterion", "stability"])
+    def test_bad_ideal_message(self, tmp_path, capsys, command, ideal, line):
+        from comspect import cli
+
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kind": "finite", "values": [1.0]}))
+        assert cli.main([command, "-i", str(path), "--ideal", ideal]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    def test_law_table_shows_the_document_witness(self, tmp_path, capsys):
+        # the table's u_n is the witness the document summarises, built from
+        # the law's first 2000 terms, whatever --table-rows asks for
+        from comspect import cli
+
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"kind": "power", "c": 1, "a": 0.5, "alternating": True}))
+        table = tmp_path / "cu.csv"
+        argv = ["criterion", "-i", str(path), "--ideal", "schatten:p=2", "--table-rows", "16",
+                "--prefix-length", "10000", "--emit-table", str(table)]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witnessScale"] == 2000
+        rows = [line.split(",") for line in table.read_text().strip().splitlines()[1:]]
+        assert [float(u_n) for _, _, u_n in rows] == doc["condition3Witness"]["head"]
+
+    @pytest.mark.parametrize(
+        ("doc", "digest"),
+        [
+            (
+                {"n": 4, "entries": [
+                    [2, 1], [0.5, 0], [0, -1], [0.25, 0.25],
+                    [0, 0], [-1.5, 0.5], [1, 0], [0, 0],
+                    [0.3, 0], [0, 0], [0.75, -0.5], [1, 1],
+                    [0, 0.2], [0.1, 0], [0, 0], [-0.4, 0]]},
+                "60a36fd4f4946a73f3a5a9d4d3ab86da3c6a5402730eadd71fe2097604f79535",
+            ),
+            (
+                {"kind": "finite", "values": [3, [-1, 2], -2.5, 0.75, [0.1, -0.3]]},
+                "b85c44131e4d904fe9fbe3b1af3bf0f868e505123f73183f6819bf1f21e992ed",
+            ),
+        ],
+        ids=["matrix", "finite"],
+    )
+    def test_table_bytes_pinned(self, tmp_path, capsys, doc, digest):
+        # matrix and finite-list tables run past the list into the exact tail
+        import hashlib
+
+        from comspect import cli
+
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        table = tmp_path / "cu.csv"
+        argv = ["criterion", "-i", str(path), "--ideal", "schatten:p=2", "--emit-table", str(table), "--table-rows", "12"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+
 
 class TestStability:
     def test_power_law_report(self, tmp_path):

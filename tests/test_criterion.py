@@ -126,7 +126,7 @@ class TestWitnessCycle:
         for _ in range(100):
             lam = _random_eigen(rng)
             env = condition3_witness(lam)
-            sums = lam.partial_sums()
+            sums = np.cumsum(lam.values)
             means = np.abs(sums) / np.arange(1, sums.size + 1)
             assert np.all(means <= env.prefix + 1e-15)
             t4 = witness_3_to_4(dominating_witness(lam, env))
@@ -192,7 +192,7 @@ class TestPaperInvariants:
             t_vals = np.zeros(horizon)
             if k:
                 t_vals[:k] = np.exp(np.cumsum(np.log(s_vals[:k])) / np.arange(1, k + 1))
-            sums = lam.partial_sums()
+            sums = np.cumsum(lam.values)
             means = np.zeros(horizon)
             means[: sums.size] = np.abs(sums) / np.arange(1, sums.size + 1)
             total = abs(complex(sums[-1]))
@@ -279,3 +279,45 @@ class TestCommutatorMembership:
         h_in = hs["condition2_h"].status == "In"
         k_in = hs["condition2_k"].status == "In"
         assert (joint.verdict == "InComJ") == (h_in and k_in)
+
+
+class TestSharedEigenData:
+    """One membership call derives each list's Cesàro data once and solves
+    each matrix once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        import collections
+
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "cumsum", counted("cumsum", np.cumsum))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        prop = EigenSequence.__dict__["net_total"]
+        monkeypatch.setattr(prop, "func", counted("net_total", prop.func))
+        return counts
+
+    def test_finite_list_one_cumsum_and_one_total(self, counts):
+        lam = EigenSequence.from_values([3, -1 + 2j, -2.5, 0.75])
+        commutator_membership(lam, IdealSpec.schatten(2))
+        assert counts == {"cumsum": 1, "net_total": 1}
+
+    def test_matrix_three_eigensolves(self, counts):
+        m = np.array([[2 + 1j, 0.5, -1j], [0, -1.5 + 0.5j, 1], [0.3, 0, 0.75 - 0.5j]])
+        report = commutator_membership(m, IdealSpec.schatten(2))
+        # T, H and K: T's list serves the witnesses and the split report
+        assert counts == {"eigvals": 3, "cumsum": 3, "net_total": 3}
+        assert report.witness_scale == report.witness_sequence.values.size == 3
+
+    def test_law_witness_scale_is_its_sequence_length(self):
+        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
+        report = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**4, witness_prefix=300)
+        assert report.witness_scale == report.witness_sequence.values.size == 300
+        assert np.array_equal(report.witness_sequence.values, law.prefix_values(300))

@@ -166,3 +166,62 @@ class TestDirectSum:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eigenvalue_sequence(np.array([[np.nan, 0], [0, 1]]))
+
+
+class TestCesaroData:
+    def test_properties_match_their_formulas_bit_for_bit(self, rng):
+        from comspect.sequences import round_sig
+
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            lam = EigenSequence.from_values(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            sums = np.cumsum(lam.values)
+            assert np.array_equal(lam.rounded_moduli, round_sig(np.abs(lam.values)))
+            assert np.array_equal(lam.partial_sums, sums)
+            assert np.array_equal(lam.cesaro_means, np.abs(sums) / np.arange(1, n + 1))
+            assert lam.net_total == abs(complex(sums[-1]))
+
+    def test_computed_once_and_read_only(self):
+        lam = EigenSequence(np.array([3.0, -1.0, 0.5], dtype=complex))
+        for name in ("rounded_moduli", "partial_sums", "cesaro_means"):
+            arr = getattr(lam, name)
+            assert getattr(lam, name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize(
+        ("values", "total"),
+        [([2.0, -1.0], 1.0), ([1.0, -0.9999999999999999], 0.0), ([0.0, 0.0], 0.0), ([], 0.0)],
+    )
+    def test_net_total_cancels_within_stored_slack(self, values, total):
+        lam = EigenSequence(np.array(values, dtype=complex))
+        assert lam.net_total == total
+        assert lam.cesaro_means.size == len(values)
+
+    def test_cesaro_data_is_built_only_in_spectral(self):
+        # EigenSequence owns its partial sums, Cesàro means and cancelled
+        # total; a module forming them again from the values is a second copy
+        import ast
+        import pathlib
+
+        import comspect
+
+        found = []
+        for path in sorted(pathlib.Path(comspect.__file__).parent.glob("*.py")):
+            if path.name == "spectral.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    name, arg = node.func.attr, node.args[0] if node.args else None
+                    if name == "partial_sums":
+                        found.append(f"{where}: .partial_sums()")
+                    elif name == "cumsum" and isinstance(arg, ast.Attribute) and arg.attr == "values":
+                        found.append(f"{where}: cumsum of .values")
+                elif isinstance(node, ast.Name) and node.id == "net_total":
+                    found.append(f"{where}: free net_total")
+                elif isinstance(node, (ast.FunctionDef, ast.alias)) and getattr(node, "name", "") == "net_total":
+                    found.append(f"{where}: defines or imports net_total")
+                elif isinstance(node, ast.Constant) and node.value == "net_total":
+                    found.append(f"{where}: exports net_total")
+        assert found == []
