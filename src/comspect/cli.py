@@ -9,8 +9,11 @@ Heavy imports happen inside the handlers, and the package exports resolve
 lazily, so ``python -m comspect.cli`` starts with none of numpy, scipy or
 mpmath loaded.  ``main`` therefore applies the thread cap from the
 COMSPECT_THREADS environment variable before numpy's first import, and each
-subcommand loads only the libraries it uses (``spectrum`` and
-``verify --list`` never import scipy or mpmath).
+subcommand loads only the libraries it uses.  ``spectrum``, ``functional``,
+``cutoff-report`` and every ``verify`` suite but ``prop3_2`` and its
+control load numpy alone; ``scipy.special`` (``gammaln`` and the Hurwitz
+``zeta``) loads in ``criterion``, ``stability`` and those two suites, and
+mpmath only in ``criterion`` on a symbolic law.
 """
 
 from __future__ import annotations

@@ -9,15 +9,22 @@ through its second derivative psi''(x) = e^x (|phi''(x)| + 2|phi'(x)|) on
 (0, 1), psi'' has corner points there, so psi' and psi are built as piecewise
 Chebyshev interpolants split at the sign changes (spectrally accurate on each
 piece, O(1) evaluation) and extended affinely beyond 1 where psi'' vanishes.
+
+The built corrector checks itself against an independent reference: adaptive
+Gauss-Legendre quadrature of a plain-``math`` copy of psi'' over the same
+pieces, where each piece is bisected until its 32- and 64-point rules agree
+to 1e-3 times the check's tolerance.  Only numpy is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError
 
@@ -40,6 +47,11 @@ __all__ = [
 # the built corrector must reach
 _INTERP_TOL = 1e-12
 _QUADRATURE_TOL = 1e-10
+# the paired Gauss-Legendre orders of the reference quadrature, the agreement
+# between them that accepts a piece, and the bisection depth where it gives up
+_GAUSS_ORDERS = (32, 64)
+_GAUSS_TOL = 1e-3 * _QUADRATURE_TOL
+_GAUSS_DEPTH = 30
 # grid points of the c1 scan over (0, 10]
 _C1_GRID = 10_000
 # Laplacian stencil step per unit of max(1, |z|)
@@ -116,7 +128,7 @@ def _psi_second_scalar(x: float) -> float:
     Plain-``math`` evaluation of the same bump-quotient formulas as
     ``SmoothStep.d1``/``d2``, written out separately so the quadrature
     self-check tests the interpolants against an independent implementation
-    (and so ``quad``'s thousands of point callbacks skip numpy's 0-d array
+    (and so the quadrature's point evaluations skip numpy's 0-d array
     overhead).  Zero outside (0, 1), where phi is constant.
     """
     if not 0.0 < x < 1.0:
@@ -133,6 +145,47 @@ def _psi_second_scalar(x: float) -> float:
     d1 = n1 / d**2
     d2 = (b2x * bc - bx * b2c) / d**2 - 2.0 * n1 * (b1x - b1c) / d**3
     return math.exp(x) * (abs(d2) + 2.0 * abs(d1))
+
+
+@functools.cache
+def _gauss_rule(order: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1], built once."""
+    nodes, weights = leggauss(order)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def _gauss(fn, lo: float, hi: float, order: int) -> float:
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return half * math.fsum(w * fn(mid + half * t) for t, w in _gauss_rule(order))
+
+
+def _reference_integral(fn, lo: float, hi: float, depth: int = 0) -> float:
+    """Integral of a scalar function over [lo, hi] by adaptive Gauss-Legendre.
+
+    A piece is accepted when its two rules agree to _GAUSS_TOL (relative to
+    1 + |integral|) and bisected otherwise; a piece still unresolved at
+    depth _GAUSS_DEPTH (width 2^-30 of the start) raises NumericalError.
+    """
+    coarse, fine = (_gauss(fn, lo, hi, order) for order in _GAUSS_ORDERS)
+    if abs(fine - coarse) <= _GAUSS_TOL * (1.0 + abs(fine)):
+        return fine
+    if depth == _GAUSS_DEPTH:
+        raise NumericalError(f"reference quadrature did not converge on [{lo}, {hi}]")
+    mid = 0.5 * (lo + hi)
+    return _reference_integral(fn, lo, mid, depth + 1) + _reference_integral(fn, mid, hi, depth + 1)
+
+
+def _reference_psi(x: float, cuts) -> tuple[float, float]:
+    """(psi'(x), psi(x)) of the canonical step by the reference quadrature:
+    the integrals of psi''(t) and psi''(t) (x - t) over [0, x], split at the
+    cuts inside (0, x)."""
+    edges = [0.0, *(c for c in cuts if 0 < c < x), x]
+    pieces = list(zip(edges[:-1], edges[1:]))
+    slope = math.fsum(_reference_integral(_psi_second_scalar, lo, hi) for lo, hi in pieces)
+    value = math.fsum(
+        _reference_integral(lambda t: _psi_second_scalar(t) * (x - t), lo, hi) for lo, hi in pieces
+    )
+    return slope, value
 
 
 def make_phi() -> SmoothStep:
@@ -158,8 +211,6 @@ class ConvexCorrector:
     [0, 1], and affine continuation (slope psi'(1)) beyond 1."""
 
     def __init__(self, phi: SmoothStep):
-        from scipy import optimize
-
         self._phi = phi
 
         def second(x):
@@ -169,17 +220,15 @@ class ConvexCorrector:
 
         self.second = second
 
-        # split [0, 1] at the interior sign changes of phi'' (corners of |phi''|)
+        # split [0, 1] where phi'' is exactly 0 on the grid: its sign change at
+        # 0.5 (the corner of |phi''|) and the zones where it underflows near 0
+        # and 1; a sign change strictly between grid points would need a root
+        # finder, and the canonical step has none
         grid = np.linspace(0.0, 1.0, 4097)
         vals = phi.d2(grid)
-        cuts = [0.0]
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0 and grid[i] not in (0.0, 1.0):
-                cuts.append(grid[i])
-            elif vals[i] * vals[i + 1] < 0:
-                cuts.append(float(optimize.brentq(phi.d2, grid[i], grid[i + 1])))
-        cuts.append(1.0)
-        cuts = sorted(set(cuts))
+        if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+            raise NumericalError("phi'' changes sign between two points of the cut grid")
+        cuts = [0.0, *grid[1:-1][vals[1:-1] == 0.0].tolist(), 1.0]
 
         self._pieces: list[tuple[float, float, Chebyshev, Chebyshev]] = []
         d1_left = 0.0  # psi'(0) = 0, forced by the double-integral definition
@@ -197,16 +246,10 @@ class ConvexCorrector:
         self._self_check(cuts)
 
     def _self_check(self, cuts) -> None:
-        """Compare the interpolants against direct adaptive quadrature of the
-        scalar integrand."""
-        from scipy import integrate
-
-        pts = [c for c in cuts if 0 < c < 1]
+        """Compare the interpolants against the reference quadrature of the
+        scalar integrand, split at the same cuts."""
         for x in (0.25, 0.5, 0.75, 1.0):
-            d1_ref, _ = integrate.quad(_psi_second_scalar, 0.0, x, points=pts, limit=200)
-            ref, _ = integrate.quad(
-                lambda t: _psi_second_scalar(t) * (x - t), 0.0, x, points=pts, limit=200
-            )
+            d1_ref, ref = _reference_psi(x, cuts)
             if abs(d1_ref - self.d1(x)) > _QUADRATURE_TOL * (1 + abs(d1_ref)) or abs(
                 ref - self(x)
             ) > _QUADRATURE_TOL * (1 + abs(ref)):

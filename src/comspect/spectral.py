@@ -53,9 +53,9 @@ def validate_matrix(m) -> np.ndarray:
     return arr
 
 
-def _canonical_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting eigenvalues by the deterministic convention."""
-    mod = round_sig(np.abs(values))
+def _canonical_order(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Indices sorting eigenvalues, with rounded moduli ``mod``, by the
+    deterministic convention."""
     arg = np.angle(values)
     arg = np.where(arg < 0, arg + 2 * np.pi, arg)
     # lexsort: last key is primary
@@ -89,7 +89,14 @@ class EigenSequence:
     @classmethod
     def from_values(cls, values) -> "EigenSequence":
         vals = np.asarray(values, dtype=np.complex128).ravel()
-        return cls(vals[_canonical_order(vals)])
+        mod = round_sig(np.abs(vals))
+        order = _canonical_order(vals, mod)
+        # round_sig is elementwise, so the sorted values' rounded moduli are the
+        # sorted rounded moduli: seed the cache before __post_init__ reads it
+        seq = cls.__new__(cls)
+        seq.__dict__["rounded_moduli"] = _read_only(mod[order])
+        seq.__init__(vals[order])
+        return seq
 
     @property
     def moduli(self) -> np.ndarray:

@@ -423,6 +423,45 @@ class TestImportGraph:
         assert report["loaded"] == ["numpy"]
         assert report["blas"] == "1"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["functional", "-i", "MATRIX"],
+            ["cutoff-report", "--grid-size", "16"],
+            ["verify", "--suite", "lemma2_1_3", "--trials", "1"],
+        ],
+    )
+    def test_cutoff_pair_commands_load_numpy_only(self, tmp_path, args):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 0], [2, 0], [0, 0], [3, 0]]}))
+        report = _probe_cli([str(path) if a == "MATRIX" else a for a in args])
+        assert report["code"] == 0
+        assert report["loaded"] == ["numpy"]
+
+    def test_default_cutoff_pair_imports_no_scipy_or_mpmath(self):
+        code = (
+            "import sys; from comspect.cutoffs import default_cutoff_pair; default_cutoff_pair(); "
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')])"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == b"[]"
+
+    def test_cutoffs_source_has_no_scipy_import(self):
+        import ast
+        import pathlib
+
+        import comspect
+
+        source = pathlib.Path(comspect.__file__).parent / "cutoffs.py"
+        found = []
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found.append(node.module)
+        assert found == []
+
     def test_every_export_resolves(self):
         import importlib
 

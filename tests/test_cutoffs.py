@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from comspect.cutoffs import (
+    SmoothStep,
     _psi_second_scalar,
+    _reference_integral,
+    _reference_psi,
     c1_constant,
     eval_g,
     eval_h,
@@ -110,6 +113,63 @@ class TestSelfCheck:
         psi._pieces[k] = tuple(piece)
         with pytest.raises(NumericalError):
             psi._self_check(cuts)
+
+
+class TestReferenceQuadrature:
+    def test_matches_scipy_quad(self, pair):
+        integrate = pytest.importorskip("scipy.integrate")
+        cuts = [piece[0] for piece in pair.psi._pieces] + [1.0]
+        pts = [c for c in cuts if 0 < c < 1]
+        for x in (0.25, 0.5, 0.75, 1.0):
+            slope, value = _reference_psi(x, cuts)
+            quad_slope, _ = integrate.quad(_psi_second_scalar, 0.0, x, points=pts, limit=200)
+            quad_value, _ = integrate.quad(
+                lambda t: _psi_second_scalar(t) * (x - t), 0.0, x, points=pts, limit=200
+            )
+            assert abs(slope - quad_slope) <= 1e-13
+            assert abs(value - quad_value) <= 1e-13
+
+    def test_smooth_integrals_meet_the_piece_tolerance(self):
+        assert _reference_integral(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1, abs=1e-15)
+        assert _reference_integral(math.cos, 0.0, 40.0) == pytest.approx(math.sin(40.0), abs=1e-13)
+
+    def test_jump_inside_a_piece_raises(self):
+        # 1/3 is never a bisection point, so no piece ever isolates the jump
+        with pytest.raises(NumericalError, match="did not converge"):
+            _reference_integral(lambda t: 1.0 if t > 1.0 / 3.0 else 0.0, 0.0, 1.0)
+
+
+class TestCanonicalPair:
+    # float.hex values of the pair as built with the root finder and scipy's
+    # quad in place; the build is deterministic, so every bit is pinned
+    INTERIOR_CUTS = [
+        "0x1.0000000000000p-12", "0x1.0000000000000p-11", "0x1.8000000000000p-11",
+        "0x1.0000000000000p-10", "0x1.4000000000000p-10", "0x1.0000000000000p-1",
+        "0x1.ff60000000000p-1", "0x1.ff80000000000p-1", "0x1.ffa0000000000p-1",
+        "0x1.ffc0000000000p-1", "0x1.ffe0000000000p-1",
+    ]
+
+    def test_pinned_bits(self, pair):
+        cuts = [piece[0] for piece in pair.psi._pieces[1:]]
+        assert [float(c).hex() for c in cuts] == self.INTERIOR_CUTS
+        assert pair.psi._pieces[-1][1] == 1.0
+        assert pair.c1.hex() == "0x1.454e187d60f0fp+3"
+        assert pair.psi.value_at_one.hex() == "0x1.220e53a251550p+2"
+        assert pair.psi.slope_at_one.hex() == "0x1.454e187d60f0fp+3"
+
+    def test_cuts_are_the_exact_zeros_of_phi_second(self, pair):
+        cuts = np.array([piece[0] for piece in pair.psi._pieces[1:]])
+        assert np.all(pair.phi.d2(cuts) == 0.0)
+
+    def test_sign_change_between_grid_points_raises(self):
+        class ShiftedStep(SmoothStep):
+            # moves the sign change of phi'' from 0.5 to 0.5 + 1e-5, which is
+            # not a point of the 4097-point grid
+            def d2(self, x):
+                return super().d2(np.asarray(x, dtype=float) - 1e-5)
+
+        with pytest.raises(NumericalError, match="changes sign"):
+            make_psi(ShiftedStep())
 
 
 class TestC1Constant:

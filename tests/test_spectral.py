@@ -181,6 +181,27 @@ class TestCesaroData:
             assert np.array_equal(lam.cesaro_means, np.abs(sums) / np.arange(1, n + 1))
             assert lam.net_total == abs(complex(sums[-1]))
 
+    def test_one_rounding_per_eigensolve(self, rng, monkeypatch):
+        import comspect.spectral as spectral
+
+        calls = []
+        real = spectral.round_sig
+
+        def counting(x):
+            calls.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(spectral, "round_sig", counting)
+        # a diagonal with modulus ties, which the argument breaks
+        ties = np.diag([2.0, -2.0, 2j, 1.0, -1.0 + 0j]) + 0j
+        for m in (_random_matrix(rng, 6), ties):
+            calls.clear()
+            lam = spectral.eigenvalue_sequence(m)
+            assert calls == [m.shape[0]]
+            assert np.array_equal(lam.rounded_moduli, real(np.abs(lam.values)))
+            assert not lam.rounded_moduli.flags.writeable
+            assert calls == [m.shape[0]]
+
     def test_computed_once_and_read_only(self):
         lam = EigenSequence(np.array([3.0, -1.0, 0.5], dtype=complex))
         for name in ("rounded_moduli", "partial_sums", "cesaro_means"):
