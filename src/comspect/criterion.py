@@ -10,6 +10,9 @@ mu(alpha T) is continuous with kinks at the same points — so exhaustive
 verification over all alpha > 0 reduces to finitely many endpoint checks
 plus an analytic bound for the large-alpha regime of harmonic-tail
 witnesses.
+
+Every witness built here is finite or has a harmonic tail c/m, and the scans
+and the doubling step accept only those: any other tail raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ from .ideals import (
     max_envelope,
 )
 from .sequences import (
-    BLOCK,
     STORED_SLACK,
     TINY,
-    FactorialPowerTail,
-    GeometricTail,
+    PowerTail,
     ScalarSequence,
     exceeds,
     exceeds_scaled,
@@ -127,13 +128,28 @@ def _chi_abs(levels: np.ndarray, partial_abs: np.ndarray, alpha):
     return partial_abs[included]
 
 
+def _harmonic_coefficient(t: ScalarSequence) -> float | None:
+    """The coefficient c of the witness's tail c/m, or None for a finite witness.
+
+    Raises ValueError for any other tail: a PowerTail counts as harmonic only
+    with a == 1.0 exactly, as every witness built from `max_envelope` has.
+    """
+    tail = t.tail
+    if tail is None:
+        return None
+    if isinstance(tail, PowerTail) and tail.a == 1.0:
+        return tail.c
+    raise ValueError("witness must be finite or have a harmonic tail c/m")
+
+
 def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None):
     """All breakpoints of both sides up to alpha_cap, sorted ascending.
 
     Returns (grid, base_cap, alpha_cap): base_cap is the largest finite
     breakpoint (1/min of the rounded moduli and witness entries), alpha_cap
-    twice the largest of base_cap, alpha_star and 1.  The tail's breakpoints
-    are enumerated in blocks up to alpha_cap.
+    twice the largest of base_cap, alpha_star and 1.  The harmonic tail's
+    breakpoints up to alpha_cap are enumerated at once, after checking that
+    they end within _MAX_TAIL_BREAKPOINTS positions.
     """
     finite = np.concatenate([levels, t.rounded_levels])
     with np.errstate(over="ignore"):
@@ -143,22 +159,28 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
     base_cap = float(finite.max()) if finite.size else 1.0
     alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
     parts = [finite]
-    if t.tail is not None:
-        lo = t.base_length + 1
-        end = lo + _MAX_TAIL_BREAKPOINTS
-        size = 256  # doubling up to BLOCK: most witnesses have few tail breakpoints
-        while lo < end:
-            v = np.asarray(t.tail.value_at(np.arange(lo, min(lo + size, end), dtype=float)))
+    c = _harmonic_coefficient(t)
+    if c is not None:
+
+        def breakpoints(m: np.ndarray):
+            v = np.asarray(t.tail.value_at(m))
             with np.errstate(divide="ignore"):
                 pts = 1.0 / v
-            beyond = (v <= 0) | (pts > alpha_cap)
-            if beyond.any():
-                parts.append(pts[: beyond.argmax()])
-                break
-            parts.append(pts)
-            lo, size = lo + size, min(2 * size, BLOCK)
-        else:
+            return pts, (v <= 0) | (pts > alpha_cap)
+
+        lo = t.base_length + 1
+        last = lo + _MAX_TAIL_BREAKPOINTS - 1
+        # 1/(c*(1/m)) is three correctly rounded steps, each monotone in m, so
+        # the breakpoints never decrease and `beyond` never turns back off
+        _, beyond = breakpoints(np.array([float(last)]))
+        if not beyond[0]:
             raise NumericalError("tail breakpoint enumeration exceeded its cap")
+        # the steps move m/c by under 4 ulps relative, less than one position
+        # for the m < 2**50 met here: position floor(alpha_cap*c) + 2 is beyond
+        # (alpha_cap*c overflows only when c/last underflows to 0)
+        stop = min(last, max(lo, math.floor(min(alpha_cap * c, last)) + 2))
+        pts, beyond = breakpoints(np.arange(lo, stop + 1, dtype=float))
+        parts.append(pts[: beyond.argmax()])
     grid = np.unique(np.concatenate(parts))
     grid = grid[grid <= alpha_cap]
     return (grid if grid.size else np.ones(1)), base_cap, alpha_cap
@@ -171,38 +193,17 @@ def _tail_slope_state(t: ScalarSequence, total: float):
     beyond alpha_star, 'fail' when it eventually loses, 'trivial' when the
     left side vanishes (total == 0).
     """
+    c = _harmonic_coefficient(t)
     if total == 0.0:
         return "trivial", 0.0
-    tail = t.tail
+    if c is None:
+        return "fail", None
     r = t.repeat
-    n_base = t.base_length
+    margin = r * c - total
+    if round_sig(margin) <= 0:
+        return "fail", None
     n_pos = int(np.count_nonzero(t.prefix > 0))
-    if tail is None:
-        return "fail", None
-    if isinstance(tail, GeometricTail):
-        return "fail", None
-    if isinstance(tail, FactorialPowerTail):
-        raise NotImplementedError(
-            "condition scans with factorial-power witnesses and nonzero totals"
-        )
-    a = round_sig(tail.a)
-    if a > 1:
-        return "fail", None
-    if a == 1:
-        margin = r * tail.c - total
-        if round_sig(margin) <= 0:
-            return "fail", None
-        alpha_star = max(0.0, r * (1 + n_base - n_pos) / margin)
-        return "ok", alpha_star
-    # a < 1: nu grows like (alpha c)^(1/a), superlinear; find dominance by doubling
-    alpha = 1.0
-    for _ in range(200):
-        lhs = alpha * total
-        slack = r * (1 + n_base - n_pos)
-        if r * (alpha * tail.c) ** (1.0 / a) >= 2.0 * (lhs + slack + r):
-            return "ok", alpha
-        alpha *= 2.0
-    raise NumericalError("failed to certify superlinear witness dominance")
+    return "ok", max(0.0, r * (1 + t.base_length - n_pos) / margin)
 
 
 def _find_failure(lhs_fn, rhs_fn, start: float) -> float | None:
@@ -280,8 +281,10 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     Checks c_n <= 2 s_n(t) for every n: directly over the stored range, and
     by slope comparison for the harmonic tails beyond.  Raises with the
     failing index when the factor-2 bound is violated (which the precondition
-    — condition (4) with s(t) >= |lambda| — rules out).
+    — condition (4) with s(t) >= |lambda| — rules out), and for a witness
+    that is neither finite nor harmonic.
     """
+    c = _harmonic_coefficient(t)
     mods = lam.moduli
     horizon = max(mods.size, t.base_length * t.repeat) + t.repeat
     ns = np.arange(1, horizon + 1)
@@ -297,28 +300,18 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     if np.any(viol):
         raise ValueError(f"factor-2 domination fails at n={int(np.argmax(viol)) + 1}")
     if total > 0.0:
-        _certify_tail_domination(total, t, horizon)
+        _certify_tail_domination(total, c, t.repeat, horizon)
     return t.scaled(2.0)
 
 
-def _certify_tail_domination(total: float, t: ScalarSequence, checked: int) -> None:
-    """Show total/n <= 2 t(n) for all n beyond the checked horizon."""
-    tail = t.tail
-    if tail is None:
+def _certify_tail_domination(total: float, c: float | None, r: int, checked: int) -> None:
+    """Show total/n <= 2 t(n) for all n beyond the checked horizon, where t
+    has the harmonic tail c/m (None: finite) replayed r times."""
+    if c is None:
         raise ValueError(f"factor-2 domination fails at n={checked + 1} (finite witness)")
-    if isinstance(tail, GeometricTail):
-        raise ValueError("geometric witness cannot dominate a harmonic tail")
-    if isinstance(tail, FactorialPowerTail):
-        raise NotImplementedError("factorial-power witnesses in the doubling step")
-    a, c, r = tail.a, tail.c, t.repeat
-    if a > 1:
-        raise ValueError("witness tail decays too fast to dominate the means")
-    # 2 t(n) * n >= 2 c (n/r + 1)^(-a) * n, increasing in n for a <= 1
+    # 2 t(n) * n >= 2 c (n/r + 1)^(-1) * n, increasing in n
     n0 = checked + 1
-    lower = 2.0 * c * (n0 / r + 1.0) ** (-a) * n0
-    if a == 1.0:
-        lower = 2.0 * c * r * n0 / (n0 + r)
-    if lower < total * (1 - STORED_SLACK):
+    if 2.0 * c * r * n0 / (n0 + r) < total * (1 - STORED_SLACK):
         raise ValueError("factor-2 domination fails beyond the checked horizon")
 
 

@@ -10,8 +10,10 @@ All threshold counts go through 12-significant-digit rounding so that
 breakpoint scans (values and their reciprocals travelling through floats)
 are stable across platforms.
 
-The counting and log-sum queries take a scalar or a 1-D array of thresholds
-(scales), so an alpha scan evaluates its whole breakpoint grid in one call.
+The counting and log-sum queries (for power and geometric tails; a
+factorial-power tail raises NotImplementedError) take a scalar or a 1-D
+array of thresholds (scales), so an alpha scan evaluates its whole
+breakpoint grid in one call.
 Array and scalar calls share one implementation and agree bit for bit: the
 closed forms apply Python's `**`, math.floor and math.log per element
 (numpy's vectorized log and power differ from them in the last bit on some
@@ -224,7 +226,8 @@ class FactorialPowerTail:
 
     Sandwiched between c*m^-a and c*(e/m)^a, so ideal membership matches the
     plain power law of the same exponent except at the weak-type boundary,
-    where the supremum is c*e^a (finite).
+    where the supremum is c*e^a (finite).  It has no counting or log-mass
+    queries.
     """
 
     c: float
@@ -237,39 +240,6 @@ class FactorialPowerTail:
     def value_at(self, m):
         m = np.asarray(m, dtype=float)
         return self.c * np.exp(-self.a * gammaln(m + 1) / m)
-
-    @_batched
-    def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
-        return np.array([self._count_ge(u, start) for u in x.tolist()])
-
-    def _count_ge(self, x: float, start: int) -> float:
-        if x <= 0:
-            return math.inf
-        if x > float(self.value_at(start + 1)):
-            return 0
-        # value is strictly decreasing; bisect on integers
-        lo, hi = start + 1, start + 2
-        while float(self.value_at(hi)) >= x:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if round_sig(float(self.value_at(mid))) >= round_sig(x):
-                lo = mid
-            else:
-                hi = mid
-        return lo - start
-
-    @_batched
-    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
-        return np.array([self._sum_plog(u, start) for u in alpha.tolist()])
-
-    def _sum_plog(self, alpha: float, start: int) -> float:
-        n = self._count_ge(1.0 / alpha, start) if alpha > 0 else 0
-        if n == 0:
-            return 0.0
-        m = np.arange(start + 1, start + n + 1, dtype=float)
-        vals = np.log(alpha * self.c) - self.a * gammaln(m + 1) / m
-        return float(np.sum(np.maximum(vals, 0.0)))
 
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -381,6 +351,8 @@ class ScalarSequence:
         threshold (scalar or 1-D x)."""
         if np.any(x <= 0):
             raise ValueError("threshold must be positive")
+        if isinstance(self.tail, FactorialPowerTail):
+            raise NotImplementedError("counting queries on a factorial-power tail")
         levels = self.rounded_levels
         cnt = levels.size - np.searchsorted(levels, round_sig(x))
         if self.tail is not None:
@@ -390,6 +362,8 @@ class ScalarSequence:
     @_batched
     def sum_plog(self, alpha: np.ndarray) -> np.ndarray:
         """sum of log_+(alpha * value(n)) over all n per scale (scalar or 1-D)."""
+        if isinstance(self.tail, FactorialPowerTail):
+            raise NotImplementedError("log-mass queries on a factorial-power tail")
         s = self._prefix_plog(alpha)
         if self.tail is not None:
             s = s + self.tail.sum_plog(alpha, self.prefix.size)

@@ -263,6 +263,68 @@ def test_failing_state_search_matches():
 
 
 # ---------------------------------------------------------------------------
+# the tail breakpoint cap: the earlier block enumeration is the oracle
+
+
+def _block_alpha_grid(levels, t, alpha_star):
+    finite = np.concatenate([levels, t.rounded_levels])
+    with np.errstate(over="ignore"):
+        finite = 1.0 / finite[finite > 0]
+    finite = finite[np.isfinite(finite)]
+    base_cap = float(finite.max()) if finite.size else 1.0
+    alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
+    parts = [finite]
+    if t.tail is not None:
+        lo = t.base_length + 1
+        end = lo + crit._MAX_TAIL_BREAKPOINTS
+        size = 256
+        while lo < end:
+            v = np.asarray(t.tail.value_at(np.arange(lo, min(lo + size, end), dtype=float)))
+            with np.errstate(divide="ignore"):
+                pts = 1.0 / v
+            beyond = (v <= 0) | (pts > alpha_cap)
+            if beyond.any():
+                parts.append(pts[: beyond.argmax()])
+                break
+            parts.append(pts)
+            lo, size = lo + size, min(2 * size, 1 << 16)
+        else:
+            raise NumericalError("tail breakpoint enumeration exceeded its cap")
+    grid = np.unique(np.concatenate(parts))
+    grid = grid[grid <= alpha_cap]
+    return (grid if grid.size else np.ones(1)), base_cap, alpha_cap
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        ScalarSequence(np.empty(0), PowerTail(1.0, 1.0)),
+        ScalarSequence(np.array([3.0, 2.0, 0.9]), PowerTail(math.e * 0.7, 1.0), 4),
+    ],
+    ids=["bare", "prefix-repeat"],
+)
+@pytest.mark.parametrize("side", [-1, 1], ids=["last-below-cap", "last-above-cap"])
+def test_tail_cap_boundary_matches_block_enumeration(witness, side):
+    levels = np.array([0.5, 1.0])
+    last = witness.base_length + crit._MAX_TAIL_BREAKPOINTS
+    last_pt = 1.0 / float(witness.tail.value_at(np.array([float(last)]))[0])
+    # alpha_cap = 2 * alpha_star: the cap one step above or below the last breakpoint
+    alpha_cap = np.nextafter(last_pt, -side * math.inf)
+    alpha_star = float(alpha_cap) / 2.0
+    if side < 0:
+        with pytest.raises(NumericalError, match="^tail breakpoint enumeration exceeded its cap$"):
+            _block_alpha_grid(levels, witness, alpha_star)
+        with pytest.raises(NumericalError, match="^tail breakpoint enumeration exceeded its cap$"):
+            crit._alpha_grid(levels, witness, alpha_star)
+        return
+    old_grid, old_base, old_cap = _block_alpha_grid(levels, witness, alpha_star)
+    grid, base_cap, cap = crit._alpha_grid(levels, witness, alpha_star)
+    assert cap == old_cap == alpha_cap and base_cap == old_base
+    assert grid.size >= crit._MAX_TAIL_BREAKPOINTS - 1
+    assert np.array_equal(_bits(grid), _bits(old_grid))
+
+
+# ---------------------------------------------------------------------------
 # inputs that took 13-73 s with the per-point scan: canonical JSON pinned
 # from that implementation (SHA-256 of the `criterion --ideal schatten:p=1`
 # document)

@@ -200,6 +200,18 @@ class TestStability:
         assert doc["chainHolds"] is True
         assert doc["empiricalConstant"] <= doc["proofConstant"]
 
+    @pytest.mark.parametrize("ideal", ["schatten:p=0.5", "weaklp:p=0.3"])
+    def test_non_member_gets_a_report(self, tmp_path, ideal):
+        # sum n^-1 diverges and sup n^(1/0.3) n^-2 is infinite: a verdict, not an input error
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "power", "c": 1, "a": 2}))
+        r = _run(["stability", "-i", str(path), "--ideal", ideal])
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["inputVerdict"]["status"] == "Out"
+        assert doc["meanVerdict"]["status"] == "Out"
+        assert doc["chainHolds"] is True
+
     def test_table(self, tmp_path):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"kind": "geometric", "c": 1.0, "q": 0.5}))

@@ -14,7 +14,7 @@ from comspect.criterion import (
     witness_4_to_3,
 )
 from comspect.ideals import EigenLaw, IdealSpec
-from comspect.sequences import PowerTail, ScalarSequence
+from comspect.sequences import FactorialPowerTail, GeometricTail, PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
 
@@ -321,3 +321,42 @@ class TestSharedEigenData:
         report = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**4, witness_prefix=300)
         assert report.witness_scale == report.witness_sequence.values.size == 300
         assert np.array_equal(report.witness_sequence.values, law.prefix_values(300))
+
+
+class TestWitnessShape:
+    """The scans and the doubling step take finite or harmonic witnesses."""
+
+    @pytest.mark.parametrize(
+        "tail",
+        [GeometricTail(1.0, 0.5), FactorialPowerTail(1.0, 1.0), PowerTail(1.0, 2.0), PowerTail(1.0, 0.5)],
+        ids=["geometric", "factorial", "power-a2", "power-a0.5"],
+    )
+    @pytest.mark.parametrize("check", [condition4_check, condition5_check, witness_4_to_3])
+    def test_other_tails_raise_one_error(self, tail, check):
+        with pytest.raises(ValueError, match="^witness must be finite or have a harmonic tail c/m$"):
+            check(_eig([1.0]), ScalarSequence(np.empty(0), tail))
+
+    def test_finite_witness_failure_search(self):
+        # the right side of a finite witness stops growing: the geometric
+        # search from the largest finite breakpoint finds the first failure
+        check = condition4_check(EigenSequence([1]), ScalarSequence.finite([1.0] * 5))
+        assert not check.holds
+        assert check.failing_alpha == float.fromhex("0x1.44p+2")
+        assert check.worst_ratio == 1.0125
+
+    def test_criterion_names_no_other_tail(self):
+        import ast
+        import pathlib
+
+        import comspect.criterion
+
+        tree = ast.parse(pathlib.Path(comspect.criterion.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert names & {"GeometricTail", "FactorialPowerTail", "BLOCK"} == set()

@@ -255,11 +255,14 @@ class TestGeometricStability:
             )
             assert rep.mean_verdict.status == "In"
 
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            check_geometric_stability(
-                ScalarSequence.power_law(1.0, 1.0), IdealSpec.schatten(1), n_max=100
-            )
+    def test_non_member_gets_its_chain(self):
+        # the chain t_n <= 2^theta n^theta (n!)^(-theta/n) u_n is pointwise
+        rep = check_geometric_stability(
+            ScalarSequence.power_law(1.0, 1.0), IdealSpec.schatten(1), n_max=100
+        )
+        assert rep.input_verdict.status == "Out"
+        assert rep.mean_verdict.status == "Out"
+        assert rep.chain_holds
 
     def test_empirical_constant_scan(self, rng):
         for _ in range(10):

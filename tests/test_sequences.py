@@ -128,6 +128,13 @@ class TestAggregates:
         assert s.schatten_sum(1.0) == pytest.approx(1.0)  # sum 2^-n
         assert math.isfinite(s.weak_sup(0.5))
 
+    def test_factorial_tail_has_no_counting_queries(self):
+        s = ScalarSequence(np.empty(0), FactorialPowerTail(1.0, 2.0))
+        with pytest.raises(NotImplementedError):
+            s.count_ge(0.5)
+        with pytest.raises(NotImplementedError):
+            s.sum_plog(2.0)
+
     def test_factorial_tail_between_power_bounds(self):
         tail = FactorialPowerTail(1.0, 2.0)
         m = np.arange(1, 50, dtype=float)
