@@ -19,6 +19,7 @@ mpmath only in ``criterion`` on a symbolic law.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -42,7 +43,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Reuse is safe: no action has a mutable default (no ``append`` or
+    ``nargs`` lists), ``parse_args`` fills a fresh namespace each call, and
+    argparse looks up ``sys.stdout``/``sys.stderr`` when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="comspect",
         description="Spectral functionals and commutator-subspace membership at desk scale",

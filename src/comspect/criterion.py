@@ -164,7 +164,7 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
 
         def breakpoints(m: np.ndarray):
             v = np.asarray(t.tail.value_at(m))
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 pts = 1.0 / v
             return pts, (v <= 0) | (pts > alpha_cap)
 
@@ -175,6 +175,11 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
         _, beyond = breakpoints(np.array([float(last)]))
         if not beyond[0]:
             raise NumericalError("tail breakpoint enumeration exceeded its cap")
+        # the tail's count grows without bound, so the scan needs a finite end
+        if math.isinf(alpha_cap):
+            raise NumericalError(
+                "the alpha scan's closing scale 2*max(1/min modulus, alpha_star, 1) overflows the float range"
+            )
         # the steps move m/c by under 4 ulps relative, less than one position
         # for the m < 2**50 met here: position floor(alpha_cap*c) + 2 is beyond
         # (alpha_cap*c overflows only when c/last underflows to 0)

@@ -368,22 +368,28 @@ def dyadic_series_envelope(
     Indices follow the fractional convention (position ceil(n/2^k)); once
     n/2^k drops below 1 the remaining terms all equal s_1 and are added as a
     closed-form geometric tail.  Returns the first ``length`` values.
+
+    ``s`` is evaluated once, over positions 1..length (plus s_1 for the
+    tail): level k adds its weighted head entries, each repeated 2^k times,
+    and the tail term is constant on each dyadic block [2^(j-1), 2^j).  The
+    levels are summed in order k = 0, 1, ..., then the tail, so the floats
+    equal those of one ``s.value`` call per level.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    n = np.arange(1, length + 1, dtype=np.int64)
+    head = s.head(length)
     out = np.zeros(length, dtype=float)
     k = 0
     while (1 << k) <= length:
         step = 1 << k
-        live = n >= step
-        idx = -(-n[live] // step)  # exact ceil division
-        out[live] += 2.0 ** (-theta * k) * s.value(idx)
+        # positions n >= step take entry ceil(n/step) = head[(n-1) // step]
+        out[step - 1 :] += np.repeat(2.0 ** (-theta * k) * head[: -(-length // step)], step)[step - 1 : length]
         k += 1
     s1 = float(s.value(1))
-    # tail: first k with 2^k > n is floor(log2 n) + 1
-    k0 = np.floor(np.log2(n.astype(float))).astype(np.int64) + 1
-    out += s1 * 2.0 ** (-theta * k0.astype(float)) / (1.0 - 2.0**-theta)
+    # tail: first k with 2^k > n is floor(log2 n) + 1 = j on the block [2^(j-1), 2^j)
+    k0 = np.arange(1, k + 1, dtype=np.int64)
+    block = s1 * 2.0 ** (-theta * k0.astype(float)) / (1.0 - 2.0**-theta)
+    out += np.repeat(block, 1 << (k0 - 1))[:length]
     return ScalarSequence(out)
 
 

@@ -225,6 +225,65 @@ class TestStability:
         assert rows[0] == "n,s_n,t_n,u_n"
         assert len(rows) == 9
 
+    @pytest.mark.parametrize(
+        ("doc", "ideal", "digest"),
+        [
+            (
+                {"kind": "power", "c": 1, "a": 3},
+                "schatten:p=0.5",
+                "46e8200fb2c07215bc1e3b6c23088e304dbed3ad5440386202fb34861f01fe50",
+            ),
+            (
+                {"kind": "geometric", "c": 1, "q": 0.5},
+                "weaklp:p=2",
+                "3bb12ecdb81537301145168d82ba5886554bea4f1d8d6e1d79780e3eef09a868",
+            ),
+            (
+                {"kind": "finite", "values": [4, 3, 2, 1, 0.5]},
+                "schatten:p=1",
+                "4088acef5637af5ae4ec24afc820ab17c9f0746bd12510344fa95d1b2b976b83",
+            ),
+        ],
+        ids=["power", "geometric", "finite"],
+    )
+    def test_document_bytes_pinned(self, tmp_path, capsys, doc, ideal, digest):
+        # the default n = 10^5 scan, through the dyadic envelope
+        import hashlib
+
+        from comspect import cli
+
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["stability", "-i", str(path), "--ideal", ideal]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        from comspect import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_then_valid_call_match_separate_processes(self, tmp_path, capsys, monkeypatch):
+        from comspect import cli
+
+        monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping in and out of process
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "power", "c": 1, "a": 2}))
+        bad = ["stability", "-i", str(path), "--ideal", "schatten:p=1", "--n-max", "0"]
+        good = ["stability", "-i", str(path), "--ideal", "schatten:p=1", "--n-max", "2000"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        bad_in = capsys.readouterr()
+        assert cli.main(good) == 0
+        good_in = capsys.readouterr()
+        for argv, code, captured in ((bad, 2, bad_in), (good, 0, good_in)):
+            r = _run(argv)
+            assert r.returncode == code
+            assert (captured.out.encode(), captured.err.encode()) == (r.stdout, r.stderr)
+        assert bad_in.err.startswith("usage: comspect stability")
+
 
 class TestCountOptions:
     @pytest.mark.parametrize(
@@ -364,8 +423,19 @@ class TestWarningFreeProbes:
                 3,
                 "numerical failure: tail breakpoint enumeration exceeded its cap",
             ),
+            (
+                {"kind": "finite", "values": [1e-308]},
+                3,
+                "numerical failure: tail breakpoint enumeration exceeded its cap",
+            ),
+            (
+                {"kind": "finite", "values": [1e-308, -9.9999999999e-309]},
+                3,
+                "numerical failure: the alpha scan's closing scale 2*max(1/min modulus, alpha_star, 1) "
+                "overflows the float range",
+            ),
         ],
-        ids=["1e308-pair", "geometric-alt"],
+        ids=["1e308-pair", "geometric-alt", "subnormal-tail", "closing-scale-overflow"],
     )
     def test_no_runtime_warnings(self, tmp_path, capsys, doc, code, error):
         import warnings

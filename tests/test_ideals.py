@@ -17,12 +17,53 @@ from comspect.ideals import (
     max_envelope,
     membership,
 )
-from comspect.sequences import ScalarSequence
+from comspect.sequences import PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
 
 def _eig(values):
     return EigenSequence(np.asarray(values, dtype=complex))
+
+
+def _per_level_envelope(s, theta, length):
+    """The dyadic envelope as one `s.value` call per level (the former
+    implementation, kept as the bit-for-bit oracle)."""
+    n = np.arange(1, length + 1, dtype=np.int64)
+    out = np.zeros(length, dtype=float)
+    k = 0
+    while (1 << k) <= length:
+        step = 1 << k
+        live = n >= step
+        idx = -(-n[live] // step)  # exact ceil division
+        out[live] += 2.0 ** (-theta * k) * s.value(idx)
+        k += 1
+    s1 = float(s.value(1))
+    k0 = np.floor(np.log2(n.astype(float))).astype(np.int64) + 1
+    out += s1 * 2.0 ** (-theta * k0.astype(float)) / (1.0 - 2.0**-theta)
+    return out
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _envelope_inputs(draw):
+    kind = draw(st.sampled_from(["power", "geometric", "finite", "prefix+tail"]))
+    if kind == "power":
+        s = ScalarSequence.power_law(draw(_POSITIVE), draw(st.floats(min_value=0.1, max_value=4.0)))
+    elif kind == "geometric":
+        s = ScalarSequence.geometric_law(draw(_POSITIVE), draw(st.floats(min_value=0.05, max_value=0.95)))
+    else:
+        extras = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=60))
+        prefix = np.sort(np.array(extras))[::-1]
+        if kind == "finite":
+            s = ScalarSequence.finite(prefix)
+        else:
+            c, a = draw(_POSITIVE), draw(st.floats(min_value=0.1, max_value=4.0))
+            # every prefix entry at or above the tail's first value
+            s = ScalarSequence(prefix + c * (prefix.size + 1) ** -a, PowerTail(c, a))
+    k = draw(st.integers(min_value=1, max_value=5))
+    return s.repeated(k) if k > 1 else s
 
 
 class TestIdealSpec:
@@ -225,6 +266,43 @@ class TestDyadicEnvelope:
             vals = np.sort(rng.uniform(0, 5, int(rng.integers(1, 20))))[::-1]
             u = dyadic_series_envelope(ScalarSequence(vals), 2.0, 64)
             assert np.all(np.diff(u.prefix) <= 1e-12)
+
+    @given(
+        _envelope_inputs(),
+        st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
+        st.one_of(
+            st.integers(min_value=1, max_value=5000),
+            st.sampled_from([2**k + d for k in range(13) for d in (-1, 0, 1) if 2**k + d >= 1]),
+        ),
+    )
+    def test_matches_per_level_oracle_bit_for_bit(self, s, theta, length):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = _per_level_envelope(s, theta, length)
+            if not np.all(np.isfinite(expected)):
+                # theta below ~2^-53 leaves 1 - 2^-theta == 0: no finite envelope
+                with pytest.raises(ValueError, match="finite"):
+                    dyadic_series_envelope(s, theta, length)
+                return
+        got = dyadic_series_envelope(s, theta, length).prefix
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 1000])
+    def test_one_head_evaluation(self, monkeypatch, length):
+        s = ScalarSequence(np.array([3.0, 2.0, 1.0]), PowerTail(2.0, 1.0))
+        calls = []
+        value = ScalarSequence.value
+
+        def counting_value(self, n):
+            calls.append(np.array(n, copy=True))
+            return value(self, n)
+
+        monkeypatch.setattr(ScalarSequence, "value", counting_value)
+        dyadic_series_envelope(s, 2.0, length)
+        # the head over positions 1..length, then the s_1 of the closed-form tail
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], np.arange(1, length + 1))
+        assert calls[1].ndim == 0 and int(calls[1]) == 1
 
     @given(st.floats(min_value=1.1, max_value=6.0))
     def test_direct_summation_oracle(self, theta):
