@@ -12,7 +12,8 @@ plus an analytic bound for the large-alpha regime of harmonic-tail
 witnesses.
 
 Every witness built here is finite or has a harmonic tail c/m, and the scans
-and the doubling step accept only those: any other tail raises ValueError.
+and the doubling step accept only those: `ScalarSequence.harmonic_coefficient`
+decides the shape, and any other tail raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .ideals import (
 from .sequences import (
     STORED_SLACK,
     TINY,
-    PowerTail,
     ScalarSequence,
     exceeds,
     exceeds_scaled,
@@ -128,20 +128,6 @@ def _chi_abs(levels: np.ndarray, partial_abs: np.ndarray, alpha):
     return partial_abs[included]
 
 
-def _harmonic_coefficient(t: ScalarSequence) -> float | None:
-    """The coefficient c of the witness's tail c/m, or None for a finite witness.
-
-    Raises ValueError for any other tail: a PowerTail counts as harmonic only
-    with a == 1.0 exactly, as every witness built from `max_envelope` has.
-    """
-    tail = t.tail
-    if tail is None:
-        return None
-    if isinstance(tail, PowerTail) and tail.a == 1.0:
-        return tail.c
-    raise ValueError("witness must be finite or have a harmonic tail c/m")
-
-
 def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None):
     """All breakpoints of both sides up to alpha_cap, sorted ascending.
 
@@ -159,7 +145,7 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
     base_cap = float(finite.max()) if finite.size else 1.0
     alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
     parts = [finite]
-    c = _harmonic_coefficient(t)
+    c = t.harmonic_coefficient()
     if c is not None:
 
         def breakpoints(m: np.ndarray):
@@ -198,7 +184,7 @@ def _tail_slope_state(t: ScalarSequence, total: float):
     beyond alpha_star, 'fail' when it eventually loses, 'trivial' when the
     left side vanishes (total == 0).
     """
-    c = _harmonic_coefficient(t)
+    c = t.harmonic_coefficient()
     if total == 0.0:
         return "trivial", 0.0
     if c is None:
@@ -248,7 +234,10 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
         right, right_next = right_all[:-1], right_all[1:]
     else:
         right = right_next = rhs(grid)
-    left, left_next = grid * sum_abs, grid_next * sum_abs
+    # the left side is 0 wherever |S| = 0, also at an infinite alpha_cap
+    live = sum_abs > 0
+    left = np.multiply(grid, sum_abs, out=np.zeros(grid.size), where=live)
+    left_next = np.multiply(grid_next, sum_abs, out=np.zeros(grid.size), where=live)
     ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
     worst = float(np.fmax.reduce(ratios, initial=0.0))  # skips nan, as max(worst, r) did
     fails = exceeds_scaled(left, right) | exceeds_scaled(left_next, right_next)
@@ -289,7 +278,7 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     — condition (4) with s(t) >= |lambda| — rules out), and for a witness
     that is neither finite nor harmonic.
     """
-    c = _harmonic_coefficient(t)
+    c = t.harmonic_coefficient()
     mods = lam.moduli
     horizon = max(mods.size, t.base_length * t.repeat) + t.repeat
     ns = np.arange(1, horizon + 1)
@@ -342,7 +331,10 @@ def _witness_checks(lam: EigenSequence):
     t4 = witness_3_to_4(t0)
     c4 = condition4_check(lam, t4)
     c5 = condition5_check(lam, t4.scaled(math.e))
-    witness_4_to_3(lam, t4)
+    try:
+        witness_4_to_3(lam, t4)
+    except ValueError as exc:  # the built witness dominates |lambda|: an internal fault
+        raise NumericalError(f"the doubling step failed on the built witness: {exc}") from exc
     return env, c4, c5
 
 

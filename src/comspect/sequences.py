@@ -10,14 +10,15 @@ All threshold counts go through 12-significant-digit rounding so that
 breakpoint scans (values and their reciprocals travelling through floats)
 are stable across platforms.
 
-The counting and log-sum queries (for power and geometric tails; a
-factorial-power tail raises NotImplementedError) take a scalar or a 1-D
-array of thresholds (scales), so an alpha scan evaluates its whole
-breakpoint grid in one call.
+The counting and log-sum queries `count_ge` and `sum_plog` take the one
+witness shape of the membership criterion: a finite sequence, or one with
+the harmonic tail c/m.  `harmonic_coefficient` decides it, and any other
+tail raises ValueError.  They take a scalar or a 1-D array of thresholds
+(scales), so an alpha scan evaluates its whole breakpoint grid in one call.
 Array and scalar calls share one implementation and agree bit for bit: the
-closed forms apply Python's `**`, math.floor and math.log per element
-(numpy's vectorized log and power differ from them in the last bit on some
-inputs), and prefix log-sums are reduced row by row in numpy's 1-D order.
+closed forms apply math.floor and math.log per element (numpy's vectorized
+log differs from math.log in the last bit on some inputs), and prefix
+log-sums are reduced row by row in numpy's 1-D order.
 """
 
 from __future__ import annotations
@@ -146,16 +147,6 @@ class PowerTail:
         count = np.maximum(_floor_index(bound) - start, 0)
         return count if live.all() else np.where(live, count, math.inf)
 
-    @_batched
-    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
-        """sum over m > start of log_+(alpha * value(m)) per scale (1-D)."""
-        lead = np.where(alpha <= 0, 0.0, alpha * self.c)
-        m_top = _floor_index(_map(lambda u: u ** (1.0 / self.a), lead))
-        live = m_top > start
-        log_lead = _map(math.log, np.where(live, lead, 1.0))
-        sums = (m_top - start) * log_lead - self.a * (gammaln(m_top + 1) - gammaln(start + 1))
-        return np.where(live, sums, 0.0)
-
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
         if ap <= 1:
@@ -189,26 +180,6 @@ class GeometricTail:
         m = np.asarray(m, dtype=float)
         return self.c * self.q**m
 
-    @_batched
-    def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
-        live = ~(x <= 0)
-        reach = live & ~(x > self.c * self.q ** (start + 1))
-        bound = _map(math.log, np.where(reach, x / self.c, 1.0)) / math.log(self.q)
-        count = np.where(reach, np.maximum(_floor_index(bound) - start, 0), 0)
-        return count if live.all() else np.where(live, count, math.inf)
-
-    @_batched
-    def sum_plog(self, alpha: np.ndarray, start: int) -> np.ndarray:
-        lead = alpha * self.c
-        reach = ~(alpha <= 0) & ~(lead * self.q ** (start + 1) < 1)
-        log_lead = _map(math.log, np.where(reach, lead, 1.0))
-        m_top = _floor_index(-log_lead / math.log(self.q))
-        live = reach & (m_top > start)
-        # the index sums in Python integers, exact beyond int64
-        msum = _map(lambda m: (m * (m + 1) - start * (start + 1)) / 2.0, np.where(live, m_top, start))
-        sums = (m_top - start) * log_lead + msum * math.log(self.q)
-        return np.where(live, sums, 0.0)
-
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
         return self.c**p * qp ** (start + 1) / (1 - qp)
@@ -226,8 +197,7 @@ class FactorialPowerTail:
 
     Sandwiched between c*m^-a and c*(e/m)^a, so ideal membership matches the
     plain power law of the same exponent except at the weak-type boundary,
-    where the supremum is c*e^a (finite).  It has no counting or log-mass
-    queries.
+    where the supremum is c*e^a (finite).
     """
 
     c: float
@@ -345,28 +315,48 @@ class ScalarSequence:
         """The 12-digit rounded prefix entries, ascending (computed once)."""
         return np.sort(round_sig(self.prefix))
 
+    def harmonic_coefficient(self) -> float | None:
+        """The coefficient c of the tail c/m, or None for a finite sequence.
+
+        The counting and log-mass queries take only these two shapes, the
+        shapes of every witness built from Cesàro means: any other tail
+        raises ValueError, and a PowerTail counts as harmonic only with
+        a == 1.0 exactly.
+        """
+        tail = self.tail
+        if tail is None:
+            return None
+        if isinstance(tail, PowerTail) and tail.a == 1.0:
+            return tail.c
+        raise ValueError("witness must be finite or have a harmonic tail c/m")
+
     @_batched
     def count_ge(self, x: np.ndarray) -> np.ndarray:
         """#{n : value(n) >= x} per threshold, with 12-digit rounding at the
         threshold (scalar or 1-D x)."""
         if np.any(x <= 0):
             raise ValueError("threshold must be positive")
-        if isinstance(self.tail, FactorialPowerTail):
-            raise NotImplementedError("counting queries on a factorial-power tail")
+        c = self.harmonic_coefficient()
         levels = self.rounded_levels
         cnt = levels.size - np.searchsorted(levels, round_sig(x))
-        if self.tail is not None:
-            cnt = cnt + self.tail.count_ge(x, self.prefix.size)
+        if c is not None:  # c/m >= x for m <= c/x
+            cnt = cnt + np.maximum(_floor_index(c / x) - self.prefix.size, 0)
         return self.repeat * cnt
 
     @_batched
     def sum_plog(self, alpha: np.ndarray) -> np.ndarray:
         """sum of log_+(alpha * value(n)) over all n per scale (scalar or 1-D)."""
-        if isinstance(self.tail, FactorialPowerTail):
-            raise NotImplementedError("log-mass queries on a factorial-power tail")
+        c = self.harmonic_coefficient()
         s = self._prefix_plog(alpha)
-        if self.tail is not None:
-            s = s + self.tail.sum_plog(alpha, self.prefix.size)
+        if c is not None:
+            # log(alpha*c/m) summed over the tail positions n < m <= alpha*c
+            n = self.prefix.size
+            lead = alpha * c
+            m_top = _floor_index(lead)
+            live = m_top > n
+            log_lead = _map(math.log, np.where(live, lead, 1.0))
+            tail = (m_top - n) * log_lead - (gammaln(m_top + 1) - gammaln(n + 1))
+            s = s + np.where(live, tail, 0.0)
         return self.repeat * s
 
     @functools.cached_property

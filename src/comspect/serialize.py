@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .ideals import EigenLaw, MembershipVerdict
-from .sequences import GeometricTail, PowerTail, ScalarSequence
+from .sequences import ScalarSequence
 from .spectral import EigenSequence
 
 SCHEMA_VERSION = "1"
@@ -216,14 +216,10 @@ _SUMMARY_HEAD = 16
 
 
 def sequence_summary(s: ScalarSequence) -> dict:
-    doc: dict = {"head": list(s.head(min(_SUMMARY_HEAD, max(s.base_length * s.repeat, 1))))}
-    if isinstance(s.tail, PowerTail):
-        doc["tail"] = {"kind": "power", "c": s.tail.c, "a": s.tail.a}
-    elif isinstance(s.tail, GeometricTail):
-        doc["tail"] = {"kind": "geometric", "c": s.tail.c, "q": s.tail.q}
-    elif s.tail is not None:
-        doc["tail"] = {"kind": "factorial_power", "c": s.tail.c, "a": s.tail.a}
-    else:
-        doc["tail"] = None
-    doc["repeat"] = s.repeat
-    return doc
+    """The leading entries, tail and repeat of a finite or harmonic witness."""
+    c = s.harmonic_coefficient()
+    return {
+        "head": list(s.head(min(_SUMMARY_HEAD, max(s.base_length * s.repeat, 1)))),
+        "tail": None if c is None else {"kind": "power", "c": c, "a": 1.0},
+        "repeat": s.repeat,
+    }

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EigensolverError
+from .errors import EigensolverError, NumericalError
 from .sequences import STORED_SLACK, ScalarSequence, round_sig
 
 __all__ = [
@@ -51,6 +51,13 @@ def validate_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NumericalError when a result computed from a finite matrix
+    overflowed the float range."""
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"the {what} of a finite matrix overflowed the float range")
 
 
 def _canonical_order(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -150,6 +157,7 @@ def eigenvalue_sequence(m) -> EigenSequence:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
+    _require_finite(vals, "eigenvalues")
     return EigenSequence.from_values(vals)
 
 
@@ -160,14 +168,18 @@ def singular_sequence(m) -> ScalarSequence:
         s = np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
+    _require_finite(s, "singular values")
     return ScalarSequence(np.sort(s)[::-1])
 
 
 def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     """Split T = H + iK with H = (T + T*)/2 and K = (T - T*)/(2i)."""
     arr = validate_matrix(t)
-    h = (arr + arr.conj().T) / 2.0
-    k = (arr - arr.conj().T) / 2.0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (arr + arr.conj().T) / 2.0
+        k = (arr - arr.conj().T) / 2.0j
+    _require_finite(h, "hermitian part H")
+    _require_finite(k, "hermitian part K")
     return h, k
 
 

@@ -397,7 +397,7 @@ def _trial_thm3_1_cycle(rng, cfg, mutated: bool) -> _Trial:
     try:
         witness_4_to_3(lam, t4)
         stage3 = 0.0
-    except (ValueError, NotImplementedError):
+    except ValueError:
         stage3 = 1.0
     lhs = max(margin_c_u, stage2, stage3)
     return _Trial(lhs, 0.0, True, matrix_fingerprint(lam.values), None)

@@ -438,6 +438,44 @@ class TestWarningFreeProbes:
         ids=["1e308-pair", "geometric-alt", "subnormal-tail", "closing-scale-overflow"],
     )
     def test_no_runtime_warnings(self, tmp_path, capsys, doc, code, error):
+        self._assert_quiet(tmp_path, capsys, ["criterion", "--ideal", "schatten:p=1"], doc, code, error)
+
+    def test_cancelling_pair_document_pinned(self, tmp_path, capsys):
+        # alpha_cap doubles to inf and the last interval's |S| is 0: the
+        # left side there is 0, not inf * 0
+        import hashlib
+
+        doc = {"kind": "finite", "values": [1e-308, -1e-308]}
+        out = self._assert_quiet(tmp_path, capsys, ["criterion", "--ideal", "schatten:p=1"], doc, 0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "072472d73618844fb74657cae967e0b93982dcb3e9f471f3d16888af9bc23c90"
+        )
+
+    # a finite matrix whose eigenvalues, singular values or hermitian parts
+    # leave the float range
+    EIG_OVERFLOW = {"n": 2, "entries": [[1e308, 0]] * 4}
+    SVD_OVERFLOW = {"n": 2, "entries": [[1.5e308, 0], [1.5e308, 0], [0, 0], [0, 0]]}
+    SPLIT_OVERFLOW = {"n": 2, "entries": [[0, 0], [1e308, 0], [1e308, 0], [0, 0]]}
+
+    @pytest.mark.parametrize(
+        "args, doc, what",
+        [
+            (["spectrum"], EIG_OVERFLOW, "eigenvalues"),
+            (["functional"], EIG_OVERFLOW, "eigenvalues"),
+            (["criterion", "--ideal", "schatten:p=1"], EIG_OVERFLOW, "eigenvalues"),
+            (["spectrum"], SVD_OVERFLOW, "singular values"),
+            (["criterion", "--ideal", "schatten:p=1"], SPLIT_OVERFLOW, "hermitian part H"),
+        ],
+        ids=["spectrum-eig", "functional-eig", "criterion-eig", "spectrum-svd", "criterion-split"],
+    )
+    def test_matrix_overflow_is_numerical(self, tmp_path, capsys, args, doc, what):
+        line = f"numerical failure: the {what} of a finite matrix overflowed the float range"
+        self._assert_quiet(tmp_path, capsys, args, doc, 3, line)
+
+    @staticmethod
+    def _assert_quiet(tmp_path, capsys, args, doc, code, error) -> str:
+        """Run the command in-process; check its exit code, its stderr line
+        and that no warning escaped.  Returns stdout."""
         import warnings
 
         from comspect import cli
@@ -446,9 +484,11 @@ class TestWarningFreeProbes:
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli.main(["criterion", "-i", str(path), "--ideal", "schatten:p=1"]) == code
-        assert capsys.readouterr().err.strip() == error
+            assert cli.main([args[0], "-i", str(path), *args[1:]]) == code
+        out, err = capsys.readouterr()
+        assert err.strip() == error
         assert [str(w.message) for w in caught] == []
+        return out
 
 
 # Runs `python -m comspect.cli <args>` in-process and reports, as the last

@@ -280,6 +280,26 @@ class TestCommutatorMembership:
         k_in = hs["condition2_k"].status == "In"
         assert (joint.verdict == "InComJ") == (h_in and k_in)
 
+    def test_doubling_failure_on_built_witness_is_numerical(self, monkeypatch, tmp_path, capsys):
+        # the built witness dominates |lambda| by construction, so a failing
+        # doubling step is an internal fault: exit 3, not an input error
+        import comspect.criterion as crit
+        from comspect import cli
+        from comspect.errors import NumericalError
+
+        def failing(lam, t):
+            raise ValueError("factor-2 domination fails at n=1")
+
+        monkeypatch.setattr(crit, "witness_4_to_3", failing)
+        with pytest.raises(NumericalError, match="^the doubling step failed on the built witness: factor-2"):
+            commutator_membership(_eig([2.0, 1.0]), IdealSpec.schatten(1))
+        path = tmp_path / "in.json"
+        path.write_text('{"kind": "finite", "values": [2, 1]}')
+        assert cli.main(["criterion", "-i", str(path), "--ideal", "schatten:p=1"]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "numerical failure: the doubling step failed on the built witness: factor-2 domination fails at n=1"
+        )
+
 
 class TestSharedEigenData:
     """One membership call derives each list's Cesàro data once and solves
@@ -345,18 +365,22 @@ class TestWitnessShape:
         assert check.worst_ratio == 1.0125
 
     def test_criterion_names_no_other_tail(self):
+        # the shape is decided once, by ScalarSequence.harmonic_coefficient
         import ast
         import pathlib
 
         import comspect.criterion
+        import comspect.serialize
 
-        tree = ast.parse(pathlib.Path(comspect.criterion.__file__).read_text(encoding="utf-8"))
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-        assert names & {"GeometricTail", "FactorialPowerTail", "BLOCK"} == set()
+        tails = {"PowerTail", "GeometricTail", "FactorialPowerTail", "Tail"}
+        for module, banned in ((comspect.criterion, tails | {"BLOCK"}), (comspect.serialize, tails)):
+            tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+            names = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            assert names & banned == set(), module.__name__

@@ -84,12 +84,27 @@ class TestCounting:
         # threshold exactly 1/7 must include position 7
         assert s.count_ge(1.0 / 7.0) == 7
 
-    @given(st.integers(min_value=1, max_value=200))
-    def test_geometric_count_matches_scan(self, m):
-        tail = GeometricTail(2.0, 0.7)
-        x = float(tail.value_at(m))
+    @pytest.mark.parametrize(
+        "tail",
+        [GeometricTail(2.0, 0.7), FactorialPowerTail(1.0, 2.0), PowerTail(1.0, 2.0), PowerTail(1.0, 0.5)],
+        ids=["geometric", "factorial", "power-a2", "power-a0.5"],
+    )
+    def test_other_tails_raise_one_error(self, tail):
+        # the queries take a finite sequence or the harmonic tail c/m only
         s = ScalarSequence(np.empty(0), tail)
-        assert s.count_ge(x) == m
+        for query in (lambda: s.count_ge(0.5), lambda: s.sum_plog(2.0), s.harmonic_coefficient):
+            with pytest.raises(ValueError, match="^witness must be finite or have a harmonic tail c/m$"):
+                query()
+
+    def test_tail_laws_have_no_query_methods(self):
+        # the tail laws carry no counting or log-mass query the sequence could bypass
+        assert not hasattr(GeometricTail, "count_ge") and not hasattr(GeometricTail, "sum_plog")
+        assert not hasattr(FactorialPowerTail, "count_ge") and not hasattr(FactorialPowerTail, "sum_plog")
+        assert not hasattr(PowerTail, "sum_plog")
+
+    def test_harmonic_coefficient(self):
+        assert ScalarSequence.finite([2, 1]).harmonic_coefficient() is None
+        assert ScalarSequence(np.array([3.0]), PowerTail(3.0, 1.0), 4).harmonic_coefficient() == 3.0
 
 
 class TestAggregates:
@@ -127,13 +142,6 @@ class TestAggregates:
         s = ScalarSequence.geometric_law(1.0, 0.5)
         assert s.schatten_sum(1.0) == pytest.approx(1.0)  # sum 2^-n
         assert math.isfinite(s.weak_sup(0.5))
-
-    def test_factorial_tail_has_no_counting_queries(self):
-        s = ScalarSequence(np.empty(0), FactorialPowerTail(1.0, 2.0))
-        with pytest.raises(NotImplementedError):
-            s.count_ge(0.5)
-        with pytest.raises(NotImplementedError):
-            s.sum_plog(2.0)
 
     def test_factorial_tail_between_power_bounds(self):
         tail = FactorialPowerTail(1.0, 2.0)
