@@ -9,7 +9,9 @@ at reciprocals of the moduli, nu(alpha T) is a step function, and
 mu(alpha T) is continuous with kinks at the same points — so exhaustive
 verification over all alpha > 0 reduces to finitely many endpoint checks
 plus an analytic bound for the large-alpha regime of harmonic-tail
-witnesses.
+witnesses.  Condition (5) brackets mu(alpha T) at every breakpoint first and
+sums the witness prefix exactly only where a bracket cannot decide a check or
+the worst ratio.
 
 Every witness built here is finite or has a harmonic tail c/m, and the scans
 and the doubling step accept only those: `ScalarSequence.harmonic_coefficient`
@@ -226,18 +228,30 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
     grid, base_cap, alpha_cap = _alpha_grid(levels, t, alpha_star)
     grid_next = np.append(grid[1:], alpha_cap)
     sum_abs = _chi_abs(levels, partial_abs, grid)
-    # the left side is linear on [b, b_next): its supremum is the right
-    # limit; the log side is continuous and the margin concave on the
-    # interval, so the two endpoint checks are exhaustive
-    if use_mu:
-        right_all = rhs(np.append(grid, alpha_cap))
-        right, right_next = right_all[:-1], right_all[1:]
-    else:
-        right = right_next = rhs(grid)
     # the left side is 0 wherever |S| = 0, also at an infinite alpha_cap
     live = sum_abs > 0
     left = np.multiply(grid, sum_abs, out=np.zeros(grid.size), where=live)
     left_next = np.multiply(grid_next, sum_abs, out=np.zeros(grid.size), where=live)
+    # the left side is linear on [b, b_next): its supremum is the right
+    # limit; the log side is continuous and the margin concave on the
+    # interval, so the two endpoint checks are exhaustive
+    if use_mu:
+        # exact log sides only where they matter: a check whose bracket ends disagree
+        # (exceeds_scaled is monotone in right >= 0), a ratio whose bound from lo
+        # reaches the top bound from hi; elsewhere hi stands in for the exact side
+        scales = np.append(grid, alpha_cap)
+        lo, right_all = t.sum_plog_bounds(scales)
+        exact = ~np.isfinite(right_all) | (lo < 0)
+        sides = ((left, slice(None, -1)), (left_next, slice(1, None)))
+        with np.errstate(invalid="ignore"):  # inf/inf at an infinite alpha_cap, an exact scale
+            top = max(np.fmax.reduce(side / np.maximum(right_all[at], 1.0), initial=0.0) for side, at in sides)
+        for side, at in sides:
+            undecided = exceeds_scaled(side, lo[at]) != exceeds_scaled(side, right_all[at])
+            exact[at] |= undecided | ((side > 0) & (side / np.maximum(lo[at], 1.0) >= top))
+        right_all[exact] = rhs(scales[exact])
+        right, right_next = right_all[:-1], right_all[1:]
+    else:
+        right = right_next = rhs(grid)
     ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
     worst = float(np.fmax.reduce(ratios, initial=0.0))  # skips nan, as max(worst, r) did
     fails = exceeds_scaled(left, right) | exceeds_scaled(left_next, right_next)

@@ -17,8 +17,9 @@ tail raises ValueError.  They take a scalar or a 1-D array of thresholds
 (scales), so an alpha scan evaluates its whole breakpoint grid in one call.
 Array and scalar calls share one implementation and agree bit for bit: the
 closed forms apply math.floor and math.log per element (numpy's vectorized
-log differs from math.log in the last bit on some inputs), and prefix
-log-sums are reduced row by row in numpy's 1-D order.
+log differs from math.log in the last bit on some inputs), and each prefix
+log-sum is one 1-D numpy sum.  `sum_plog_bounds` brackets `sum_plog` in
+O(log prefix) per scale, for alpha scans that need few exact prefix sums.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .errors import NumericalError
 
 __all__ = [
     "PowerTail",
@@ -58,9 +61,7 @@ def exceeds_scaled(a, b):
     return a > b + DERIVED_SLACK * (1 + abs(b))
 
 
-# elements per block of the batched queries: rows x prefix entries for the
-# prefix log-sums, tail positions for a breakpoint enumeration
-BLOCK = 1 << 16
+PLOG_SAFETY = 64.0  # sum_plog_bounds' radius over u(k+1)(B+1); its derivation needs 20
 
 
 def gammaln(x):
@@ -119,9 +120,12 @@ def _floor_index(v: np.ndarray) -> np.ndarray:
     or Python integers (object dtype) from 2**53 on, so that the sums and
     repeat multiples the counts go into cannot wrap around.
     """
+    if not np.isfinite(v).all():
+        raise NumericalError("a tail position bound (c/x or alpha*c) overflows the float range")
     lifted = np.where(v < 0, 0.0, round_sig(v) + DERIVED_SLACK)
-    floors = [math.floor(u) for u in lifted.tolist()]
-    return np.array(floors, dtype=np.int64 if lifted.max(initial=0.0) < 2.0**53 else object)
+    if lifted.max(initial=0.0) < 2.0**53:  # np.floor is exact, and so is the cast
+        return np.floor(lifted).astype(np.int64)
+    return np.array([math.floor(u) for u in lifted.tolist()], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -340,58 +344,70 @@ class ScalarSequence:
         levels = self.rounded_levels
         cnt = levels.size - np.searchsorted(levels, round_sig(x))
         if c is not None:  # c/m >= x for m <= c/x
-            cnt = cnt + np.maximum(_floor_index(c / x) - self.prefix.size, 0)
+            with np.errstate(over="ignore"):  # c/x beyond the float range raises NumericalError
+                cnt = cnt + np.maximum(_floor_index(c / x) - self.prefix.size, 0)
         return self.repeat * cnt
 
     @_batched
     def sum_plog(self, alpha: np.ndarray) -> np.ndarray:
         """sum of log_+(alpha * value(n)) over all n per scale (scalar or 1-D)."""
-        c = self.harmonic_coefficient()
-        s = self._prefix_plog(alpha)
-        if c is not None:
-            # log(alpha*c/m) summed over the tail positions n < m <= alpha*c
-            n = self.prefix.size
-            lead = alpha * c
-            m_top = _floor_index(lead)
-            live = m_top > n
-            log_lead = _map(math.log, np.where(live, lead, 1.0))
-            tail = (m_top - n) * log_lead - (gammaln(m_top + 1) - gammaln(n + 1))
-            s = s + np.where(live, tail, 0.0)
-        return self.repeat * s
+        return self.repeat * (self._prefix_plog(alpha) + self._harmonic_plog(alpha))
 
-    @functools.cached_property
-    def _positive_prefix(self) -> tuple[np.ndarray, bool]:
-        """The positive prefix entries, and whether they never rise (the
-        prefix may rise within its STORED_SLACK tolerance)."""
-        pos = self.prefix[self.prefix > 0]
-        return pos, bool((pos[1:] <= pos[:-1]).all())
+    def sum_plog_bounds(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) with lo <= sum_plog(alpha) <= hi per scale of a 1-D array
+        alpha > 0, in O(log prefix) per scale; the tail term is sum_plog's own.
+
+        The prefix term P sums np.log(fl(alpha*p)) over the entries with
+        fl(alpha*p) >= 1, i.e. alpha*p >= 1 - u/2 (u = 2**-53): the K largest.
+        k >= K counts p >= fl((1 - 8u)/alpha); the k - K others have
+        |log(alpha*p)| <= 9.2u.  C = k*log(alpha) + L[k], L the cumsum of the
+        logs of the positive entries largest first; B = k*(|log alpha| + max
+        |log p|) bounds the k terms.  With np.log within 4 ulps, a term of P
+        errs by u*(1.02 + 8.01*|log(alpha*p)|) (the product's rounding, then
+        the log), their sum in any order (pairwise too) by gamma_(K-1) times
+        its size, ~1.03kuB, and C (two logs, a product, L's sequential cumsum,
+        one add) by ~u*(10.2B + 1.03kB).  So |P - C| <= u*(10.3k + 18.3B +
+        2.06kB) <= 20u(k+1)(B+1), which grows like k^2.  The radius
+        PLOG_SAFETY*u*(k+1)*(B+1) leaves a surplus for rounding B, the radius
+        and C -+ radius; P >= 0 clamps lo.  Where alpha*max(p) overflows or the
+        cut is not a normal float, the bracket is (0, inf).
+        """
+        q = np.sort(self.prefix[self.prefix > 0])
+        logs = np.log(q[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cut = (1 - 8 * 2.0**-53) / alpha
+            k = q.size - np.searchsorted(q, cut)
+            live = (cut >= 2.0**-1022) & np.isfinite(alpha * q.max(initial=1.0))
+            log_a = np.log(alpha)
+            centre = k * log_a + np.cumsum(np.append(0.0, logs))[k]
+            mass = k * (np.abs(log_a) + np.abs(logs).max(initial=0.0))  # B
+            radius = PLOG_SAFETY * 2.0**-53 * (k + 1) * (mass + 1)
+            lo = np.where(live, np.maximum(centre - radius, 0.0), 0.0)
+            hi = np.where(live, centre + radius, math.inf)
+        tail = self._harmonic_plog(alpha)
+        return self.repeat * (lo + tail), self.repeat * (hi + tail)
+
+    def _harmonic_plog(self, alpha: np.ndarray):
+        """The tail term of sum_plog: log(alpha*c/m) summed over the tail
+        positions n < m <= alpha*c (0.0 for a finite sequence)."""
+        c = self.harmonic_coefficient()
+        if c is None:
+            return 0.0
+        n = self.prefix.size
+        with np.errstate(over="ignore"):  # an overflowing alpha*c raises NumericalError
+            lead = alpha * c
+        m_top = _floor_index(lead).astype(float)  # gammaln takes no Python ints; exact below 2**53
+        live = m_top > n
+        log_lead = _map(math.log, np.where(live, lead, 1.0))
+        tail = (m_top - n) * log_lead - (gammaln(m_top + 1) - gammaln(n + 1))
+        return np.where(live, tail, 0.0)
 
     def _prefix_plog(self, alpha: np.ndarray) -> np.ndarray:
-        """Per scale, the sum of log(alpha * p) over prefix entries p with
-        alpha * p >= 1.
-
-        Each sum equals np.sum of the 1-D selection bit for bit.  When the
-        entries never rise, a scale keeps a leading run of them, and rows
-        keeping the same run length are reduced together as a C-contiguous
-        (rows, k) block, which numpy sums row by row in its 1-D pairwise order.
-        """
-        pos, never_rises = self._positive_prefix
-        out = np.zeros(alpha.size)
-        if not never_rises:
-            for i, a in enumerate(alpha.tolist()):
-                vals = a * pos
-                out[i] = np.sum(np.log(vals[vals >= 1]))
-            return out
-        rows = max(1, BLOCK // max(pos.size, 1))
-        for lo in range(0, alpha.size, rows):
-            vals = alpha[lo : lo + rows, None] * pos
-            width = np.add.reduce(vals >= 1, axis=1)
-            cuts = (np.flatnonzero(width[1:] != width[:-1]) + 1).tolist()
-            for a, b in zip([0] + cuts, cuts + [width.size]):
-                if width[a]:
-                    block = np.ascontiguousarray(vals[a:b, : width[a]])
-                    out[lo + a : lo + b] = np.sum(np.log(block), axis=1)
-        return out
+        """Per scale, np.sum of log(alpha * p) over the prefix entries p with alpha * p >= 1,
+        in storage order (condition (5) needs it only where sum_plog_bounds cannot decide)."""
+        pos = self.prefix[self.prefix > 0]
+        sums = [np.sum(np.log(vals[vals >= 1])) for vals in (a * pos for a in alpha.tolist())]
+        return np.array(sums, dtype=float)
 
     def schatten_sum(self, p: float) -> float:
         s = float(np.sum(self.prefix**p))

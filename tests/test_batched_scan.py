@@ -3,7 +3,8 @@
 The oracle below is the earlier implementation, one scale at a time: scalar
 rounding, a Python set of breakpoints, and a loop of endpoint checks.  The
 batched scan must reproduce its grid, every right side and every
-ConditionCheck bit for bit.
+ConditionCheck bit for bit.  A second oracle evaluates the exact log side at
+every grid scale; condition (5) brackets it and must agree bit for bit.
 """
 
 import hashlib
@@ -18,7 +19,8 @@ from scipy.special import gammaln
 from comspect import cli
 from comspect import criterion as crit
 from comspect.errors import NumericalError
-from comspect.sequences import DERIVED_SLACK, PowerTail, ScalarSequence
+from comspect.ideals import EigenLaw
+from comspect.sequences import DERIVED_SLACK, STORED_SLACK, PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,143 @@ def test_failing_state_search_matches():
 
 
 # ---------------------------------------------------------------------------
+# the bracketed log side of condition (5): the full-grid scan is the oracle
+
+
+def _full_grid_scan(lam, t, use_mu):
+    """The batched scan with the exact right side at every grid scale."""
+    levels, partial_abs, total = crit._chi_data(lam)
+    state, alpha_star = crit._tail_slope_state(t, total)
+
+    def rhs(alpha):
+        if use_mu:
+            return t.sum_plog(alpha)
+        return np.asarray(t.count_ge(1.0 / alpha), dtype=float)[()]
+
+    def lhs(alpha):
+        return alpha * crit._chi_abs(levels, partial_abs, alpha)
+
+    grid, base_cap, alpha_cap = crit._alpha_grid(levels, t, alpha_star)
+    grid_next = np.append(grid[1:], alpha_cap)
+    sum_abs = crit._chi_abs(levels, partial_abs, grid)
+    if use_mu:
+        right_all = rhs(np.append(grid, alpha_cap))
+        right, right_next = right_all[:-1], right_all[1:]
+    else:
+        right = right_next = rhs(grid)
+    live = sum_abs > 0
+    left = np.multiply(grid, sum_abs, out=np.zeros(grid.size), where=live)
+    left_next = np.multiply(grid_next, sum_abs, out=np.zeros(grid.size), where=live)
+    with np.errstate(invalid="ignore"):
+        ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
+    worst = float(np.fmax.reduce(ratios, initial=0.0))
+    fails = crit.exceeds_scaled(left, right) | crit.exceeds_scaled(left_next, right_next)
+    holds = not fails.any()
+    failing = None if holds else float(grid[fails.argmax()])
+    if holds and state == "fail":
+        holds = False
+        failing = crit._find_failure(lhs, rhs, base_cap)
+        if failing is not None:
+            worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
+    elif holds and state == "ok" and total > 0.0:
+        if crit.exceeds_scaled(lhs(alpha_cap), rhs(alpha_cap)):
+            holds, failing = False, alpha_cap
+    return crit.ConditionCheck(holds, worst, int(grid.size), failing)
+
+
+def _witnesses(lam):
+    """The witnesses of conditions (4) and (5), as commutator_membership builds them."""
+    t4 = crit.witness_3_to_4(crit.dominating_witness(lam, crit.condition3_witness(lam)))
+    return t4, t4.scaled(math.e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eigenvalue_lists())
+def test_bracketed_log_side_matches_full_grid(lam):
+    _, t5 = _witnesses(lam)
+    assert _same_check(crit.condition5_check(lam, t5), _full_grid_scan(lam, t5, True))
+
+
+# laws with the length of their witness prefix (the criterion takes 2,000
+# terms; these keep the grid under the breakpoint cap and the oracle quick)
+LAWS = [
+    (EigenLaw("power", 1.0, a=0.5), 300),
+    (EigenLaw("power", 1.0, a=1.0, alternating=True), 300),
+    (EigenLaw("power", 2.0, a=1.5), 300),
+    (EigenLaw("power", 1.0, a=1.5, alternating=True), 300),
+    (EigenLaw("power", 0.3, a=3.0), 30),
+    (EigenLaw("geometric", 1.0, q=0.5, alternating=True), 12),
+    (EigenLaw("geometric", 5.0, q=0.9), 60),
+]
+
+
+@pytest.mark.parametrize(
+    "law, terms", LAWS, ids=lambda x: f"{x.kind}-{x.a or x.q}-{x.alternating}" if isinstance(x, EigenLaw) else str(x)
+)
+def test_law_witnesses_match_full_grid(law, terms):
+    lam = EigenSequence(law.prefix_values(terms))
+    _, t5 = _witnesses(lam)
+    assert _same_check(crit.condition5_check(lam, t5), _full_grid_scan(lam, t5, True))
+
+
+def _near_one_scales(q, rng, count):
+    """Scales alpha with alpha*p within a few ulps of 1 for drawn entries p."""
+    picks = 1.0 / rng.choice(q, count)
+    steps = rng.integers(-4, 5, count)
+    return np.array([np.nextafter(a, math.copysign(math.inf, j)) if j else a for a, j in zip(picks, steps)])
+
+
+@st.composite
+def bracket_cases(draw):
+    """A witness with up to 2,000 prefix entries in 1e-12..1e12 (ties, entries
+    rising within STORED_SLACK and trailing zeros possible), maybe a harmonic
+    tail, repeated 1-4 times; and scales over its whole range, some with
+    alpha*p within a few ulps of 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 7, 64, 500, 2000]))
+    lo_exp = draw(st.floats(-12.0, 12.0))
+    hi_exp = draw(st.floats(lo_exp, 12.0))
+    prefix = np.sort(10.0 ** rng.uniform(lo_exp, hi_exp, n))[::-1]
+    if n > 1:
+        kind = draw(st.sampled_from(["plain", "ties", "rising"]))
+        at = rng.integers(1, n, max(1, n // 8))
+        if kind == "ties":
+            prefix[at] = prefix[at - 1]
+        elif kind == "rising":
+            prefix[at] = prefix[at - 1] * (1 + 0.9 * STORED_SLACK)
+    if n and draw(st.booleans()):
+        prefix[-max(1, n // 10) :] = 0.0
+    tail = None
+    if draw(st.booleans()):
+        last = prefix[-1] if n else 10.0 ** rng.uniform(-12.0, 12.0)
+        if last > 0:
+            tail = PowerTail(last * (n + 1) * rng.uniform(0.01, 1.0), 1.0)
+    t = ScalarSequence(prefix, tail, draw(st.integers(1, 4)))
+    q = prefix[prefix > 0]
+    span = (-hi_exp - 1.0, -lo_exp + 1.0)
+    scales = [10.0 ** rng.uniform(*span, 200)]
+    if q.size:
+        scales.append(_near_one_scales(q, rng, 100))
+    return t, np.concatenate(scales)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_cases())
+def test_sum_plog_bounds_bracket_the_exact_sum(case):
+    t, alphas = case
+    lo, hi = t.sum_plog_bounds(alphas)
+    exact = t.sum_plog(alphas)
+    assert (lo <= exact).all() and (exact <= hi).all()
+    assert np.isfinite(hi).all()
+
+
+def test_bracket_is_exact_where_no_entry_counts():
+    t = ScalarSequence.finite([4.0, 2.0])
+    lo, hi = t.sum_plog_bounds(np.array([0.1, 0.25 * (1 - 2.0**-40)]))
+    assert lo.tolist() == [0.0, 0.0] and np.all(hi < 1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the tail breakpoint cap: the earlier block enumeration is the oracle
 
 
@@ -309,14 +448,20 @@ def test_tail_cap_boundary_matches_block_enumeration(witness, side):
 
 
 # ---------------------------------------------------------------------------
-# inputs that took 13-73 s with the per-point scan: canonical JSON pinned
-# from that implementation (SHA-256 of the `criterion --ideal schatten:p=1`
+# inputs that took 13-73 s with the per-point scan, and the power law a = 1.5
+# (10 s with the exact log side at every grid scale): canonical JSON pinned
+# from those implementations (SHA-256 of the `criterion --ideal schatten:p=1`
 # document)
 
 KNOWN_SLOW = [
     ({"kind": "finite", "values": [1.0, 1e-5]}, "2570bbabf7a5a622ca99b8fcb3093124de9c7a4b917ff530df6a01df0fbf5e52"),
     ({"kind": "finite", "values": [3.0, 2.0, 1e-4]}, "4478bfbb113abdd54655b5c67cee6f01f993e241b57037686a034fc3486c39b0"),
     ({"kind": "power", "c": 1.0, "a": 1.0}, "9326dc13247dbe94c4e3d61baf295f9d4f3d751eeeda34a11b8d07b010ee401a"),
+    ({"kind": "power", "c": 1.0, "a": 1.5}, "2a989333f3329f5ea046f9e6456c2a06be56f5697a79a0c8704128885156389c"),
+    (
+        {"kind": "power", "c": 1.0, "a": 1.5, "alternating": True},
+        "881e66a649e5a3f1a48e92a32df1038c85dbca1f618aef59c78835acc25f9858",
+    ),
 ]
 
 
@@ -330,11 +475,29 @@ def _criterion(tmp_path, doc, capsys):
     return code, text, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc, digest", KNOWN_SLOW, ids=["1-1e-5", "3-2-1e-4", "power-a1"])
+@pytest.mark.parametrize(
+    "doc, digest", KNOWN_SLOW, ids=["1-1e-5", "3-2-1e-4", "power-a1", "power-a1.5", "power-a1.5-alternating"]
+)
 def test_known_slow_inputs_keep_their_documents(tmp_path, capsys, doc, digest):
     code, text, _ = _criterion(tmp_path, doc, capsys)
     assert code == 0
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+def test_log_side_takes_few_exact_scales(tmp_path, capsys, monkeypatch):
+    # condition (5) of power a = 1.5 brackets 1,250,552 grid scales; the exact
+    # prefix log-sum over all of them took 8.5 s.  It may run at a handful only.
+    scales = []
+    exact = ScalarSequence._prefix_plog
+
+    def counted(self, alpha):
+        scales.append(alpha.size)
+        return exact(self, alpha)
+
+    monkeypatch.setattr(ScalarSequence, "_prefix_plog", counted)
+    code, _, _ = _criterion(tmp_path, {"kind": "power", "c": 1.0, "a": 1.5}, capsys)
+    assert code == 0
+    assert 0 < sum(scales) <= 64
 
 
 def test_breakpoint_cap_is_still_the_documented_limit(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from comspect.errors import NumericalError
 from comspect.sequences import (
+    DERIVED_SLACK,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
@@ -105,6 +107,47 @@ class TestCounting:
     def test_harmonic_coefficient(self):
         assert ScalarSequence.finite([2, 1]).harmonic_coefficient() is None
         assert ScalarSequence(np.array([3.0]), PowerTail(3.0, 1.0), 4).harmonic_coefficient() == 3.0
+
+
+class TestHarmonicClosedFormsTotal:
+    """The harmonic closed forms give a value, or NumericalError when a tail
+    position leaves the float range, at every threshold and scale."""
+
+    # alpha*c whose 12-digit rounding lands just below and just above 2**53
+    # (9007199254740992): int64 positions below, Python integers above
+    @pytest.mark.parametrize("lead", [9.00719925474e15, 9.00719925475e15], ids=["below-2**53", "above-2**53"])
+    def test_sum_plog_across_2_53(self, lead):
+        from scipy.special import gammaln
+
+        s = ScalarSequence.power_law(1.0, 1.0)
+        m = math.floor(round_sig(lead) + DERIVED_SLACK)
+        assert (m < 2**53) == (lead < 2.0**53)
+        got = s.sum_plog(lead)
+        if m < 2**53:  # the int64 form of the closed form, bit for bit
+            assert got == m * math.log(lead) - (gammaln(np.int64(m) + 1) - gammaln(1))
+        import mpmath
+
+        mpmath.mp.dps = 40
+        exact = m * mpmath.log(lead) - mpmath.loggamma(m + 1)
+        assert got == pytest.approx(float(exact), rel=1e-9)
+        assert s.count_ge(1.0 / lead) == m
+        assert type(s.count_ge(1.0 / lead)) is int
+
+    def test_sum_plog_at_1e300(self):
+        s = ScalarSequence.power_law(1.0, 1.0)
+        got = s.sum_plog(1e300)
+        # sum_{m <= M} log(M/m) ~ M for M = 1e300: a value, not a TypeError
+        assert math.isfinite(got) and got == pytest.approx(1e300, rel=1e-6)
+
+    def test_overflowing_positions_are_numerical_errors(self):
+        msg = r"^a tail position bound \(c/x or alpha\*c\) overflows the float range$"
+        with pytest.raises(NumericalError, match=msg):
+            ScalarSequence(np.array([2.0]), PowerTail(1.0, 1.0)).count_ge(1e-310)
+        s = ScalarSequence.power_law(1e10, 1.0)
+        with pytest.raises(NumericalError, match=msg):
+            s.sum_plog(1e300)
+        with pytest.raises(NumericalError, match=msg):
+            s.sum_plog_bounds(np.array([1.0, math.inf]))
 
 
 class TestAggregates:
