@@ -3,8 +3,9 @@
 The oracle below is the earlier implementation, one scale at a time: scalar
 rounding, a Python set of breakpoints, and a loop of endpoint checks.  The
 batched scan must reproduce its grid, every right side and every
-ConditionCheck bit for bit.  A second oracle evaluates the exact log side at
-every grid scale; condition (5) brackets it and must agree bit for bit.
+ConditionCheck bit for bit.  A second oracle is the batched scan with the
+exact log side at every grid scale; condition (5) brackets that side and must
+agree with it bit for bit.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -206,6 +207,7 @@ def test_batched_scan_matches_per_point_scan(lam):
         assert np.array_equal(_bits(logs), _bits([_old_sum_plog(t, b) for b in nxt.tolist()]))
         assert np.array_equal(_bits(logs), _bits([t.sum_plog(b) for b in nxt.tolist()]))
         assert _same_check(check(lam, t), old_check)
+        assert _same_check(check(lam, t), _full_grid_scan(lam, t, use_mu))
 
 
 # the queries take the harmonic tail c/m only
@@ -299,11 +301,43 @@ def _witnesses(lam):
     return t4, t4.scaled(math.e)
 
 
-@settings(max_examples=40, deadline=None)
-@given(eigenvalue_lists())
-def test_bracketed_log_side_matches_full_grid(lam):
-    _, t5 = _witnesses(lam)
-    assert _same_check(crit.condition5_check(lam, t5), _full_grid_scan(lam, t5, True))
+# lists whose first failing check falls in the wide part while the worst
+# ratio lies beyond it: the check is undecided there, not a worst candidate
+_UNDECIDED_FIRST = [
+    [3.8466619891209097 + 4.332859887053197j, -2.4415657619698297 - 1.6422089297476765j,
+     0.24046819859545943 + 0.42826310631970055j, -0.2456083512390575, -0.10179630865580533,
+     -0.020634200555522043 + 0.0730015488356967j],
+    [-40.192494845551764, 40.15790199873085, -16.975373398037156 + 9.347687002538674j, 9.130188286088595,
+     -3.9015369454728277, -2.4390007346643294 - 0.21042509909801985j],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eigenvalue_lists(),
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.sampled_from([math.e, 1.0, 0.3, 0.05]),
+)
+@example(EigenSequence.from_values(np.array(_UNDECIDED_FIRST[0])), 1.0, 0.9, 0.05)
+@example(EigenSequence.from_values(np.array(_UNDECIDED_FIRST[1])), 1.0, 0.9, 0.05)
+def test_any_sound_bracket_gives_the_exact_outcome(lam, shrink, wide_share, factor):
+    # the choice of exact scales relies on lo <= sum_plog <= hi alone: other
+    # sound brackets (scaled, or wide at the smaller scales, so that a check
+    # there is undecided while the worst ratio lies beyond) give the same
+    # result; witnesses scaled below e fail some checks before the worst ratio
+    t5 = _witnesses(lam)[0].scaled(factor)
+    exact_sum = ScalarSequence.sum_plog
+
+    def loose(self, alpha):
+        exact = exact_sum(self, alpha)
+        hi = np.where(alpha < np.quantile(alpha, wide_share), exact + 1e3, np.maximum(exact / shrink, exact))
+        return np.where(exact >= 0, exact * shrink, exact), hi
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarSequence, "sum_plog_bounds", loose)
+        check = crit.condition5_check(lam, t5)
+    assert _same_check(check, _full_grid_scan(lam, t5, True))
 
 
 # laws with the length of their witness prefix (the criterion takes 2,000
