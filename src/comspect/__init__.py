@@ -15,21 +15,15 @@ _EXPORTS = {
         "GeometricTail",
         "FactorialPowerTail",
         "frac_index",
-        "merge_decreasing",
     ),
     "spectral": (
         "EigenSequence",
         "eigenvalue_sequence",
         "singular_sequence",
         "hermitian_split",
-        "pencil",
-        "abs_operator",
-        "direct_sum",
     ),
     "cutoffs": (
         "CutoffPair",
-        "make_phi",
-        "make_psi",
         "c1_constant",
         "make_cutoff_pair",
         "default_cutoff_pair",

@@ -214,7 +214,7 @@ def _cmd_criterion(args) -> int:
         "condition4": _check_json(report.condition4),
         "condition5": _check_json(report.condition5),
         "witnessScale": report.witness_scale,
-        "explanation": report.explanation,
+        "explanation": "",  # a schema field; both ideal families get the commutator label
     }
     if report.hermitian_split is not None:
         hs = report.hermitian_split

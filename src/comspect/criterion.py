@@ -29,9 +29,6 @@ from .cutoffs import default_cutoff_pair
 from .errors import NumericalError
 from .functionals import chi, derived_c2, nu as nu_functional
 from .ideals import (
-    IN,
-    OUT,
-    UNDECIDED,
     EigenLaw,
     IdealSpec,
     MembershipVerdict,
@@ -332,7 +329,6 @@ class CriterionReport:
     verdict: str
     witness_sequence: EigenSequence  # the list (3)-(5) were built from
     hermitian_split: dict | None = None
-    explanation: str = ""
 
     @property
     def witness_scale(self) -> int:
@@ -360,8 +356,10 @@ def commutator_membership(
 ) -> CriterionReport:
     """Full membership report for a matrix, finite sequence, or symbolic law.
 
-    The verdict is condition (2); conditions (3)-(5) are attached as
-    constructive cross-checks (on a stated finite scale for symbolic input).
+    The verdict is condition (2), which decides membership in [J, B(H)]
+    because both ideal families are geometrically stable; conditions (3)-(5)
+    are attached as constructive cross-checks (on a stated finite scale for
+    symbolic input).
     Matrix input additionally reports the hermitian-split verdicts and the
     quantitative hermitian-part comparison against the derived constant.
     """
@@ -379,25 +377,14 @@ def commutator_membership(
         split_report = _hermitian_split_report(matrix, lam, ideal)
 
     env, c4, c5 = _witness_checks(lam)
-
-    if not ideal.geometrically_stable:
-        verdict = UNDECIDED
-        explanation = (
-            "ideal not flagged geometrically stable: condition (2) is reported "
-            "without the commutator-subspace label (the equivalence can fail)"
-        )
-    else:
-        verdict = {IN: IN_COM, OUT: NOT_IN_COM, UNDECIDED: UNDECIDED}[cond2.status]
-        explanation = ""
     return CriterionReport(
         condition2=cond2,
         condition3_witness=env,
         condition4=c4,
         condition5=c5,
-        verdict=verdict,
+        verdict=IN_COM if cond2.is_in else NOT_IN_COM,
         witness_sequence=lam,
         hermitian_split=split_report,
-        explanation=explanation,
     )
 
 

@@ -32,8 +32,6 @@ __all__ = [
     "SmoothStep",
     "ConvexCorrector",
     "CutoffPair",
-    "make_phi",
-    "make_psi",
     "c1_constant",
     "make_cutoff_pair",
     "default_cutoff_pair",
@@ -83,7 +81,8 @@ def _bump_d2(t: np.ndarray) -> np.ndarray:
 
 
 class SmoothStep:
-    """The canonical smooth step with analytic first and second derivatives."""
+    """The canonical smooth step (0 below 0, 1 above 1, nondecreasing,
+    C-infinity) with analytic first and second derivatives."""
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,11 +187,6 @@ def _reference_psi(x: float, cuts) -> tuple[float, float]:
     return slope, value
 
 
-def make_phi() -> SmoothStep:
-    """The smooth step: 0 below 0, 1 above 1, nondecreasing, C-infinity."""
-    return SmoothStep()
-
-
 def _interpolate_adaptive(fn, lo: float, hi: float) -> Chebyshev:
     """Chebyshev fit with degree escalation until the coefficient tail decays."""
     for deg in (32, 64, 128, 256, 512):
@@ -278,11 +272,6 @@ class ConvexCorrector:
         return self._eval(x, 1)
 
 
-def make_psi(phi: SmoothStep) -> ConvexCorrector:
-    """Build the convex corrector for the given step by double integration."""
-    return ConvexCorrector(phi)
-
-
 def c1_constant(psi: ConvexCorrector) -> float:
     """Least constant with psi(x) <= c1 * max(x, 0) on a dense grid.
 
@@ -305,8 +294,8 @@ class CutoffPair:
 
 
 def make_cutoff_pair() -> CutoffPair:
-    phi = make_phi()
-    psi = make_psi(phi)
+    phi = SmoothStep()
+    psi = ConvexCorrector(phi)
     return CutoffPair(phi, psi, c1_constant(psi))
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
+from .errors import NumericalError
 from .sequences import exceeds_scaled
 from .spectral import EigenSequence, eigenvalue_sequence, validate_matrix
 
@@ -109,10 +110,10 @@ class FunctionalReport:
 
     def __post_init__(self):
         if self.nu < 0 or self.mu < 0 or not math.isfinite(self.mu):
-            raise ValueError("nu and mu must be finite and nonnegative")
+            raise NumericalError("nu and mu must be finite and nonnegative")
         bound = math.e * self.nu
         if exceeds_scaled(abs(self.chi - self.chi_phi), bound):
-            raise ValueError("smoothed threshold sum strays beyond e * nu")
+            raise NumericalError("smoothed threshold sum strays beyond e * nu")
 
 
 def functional_report(m, pair: CutoffPair) -> FunctionalReport:

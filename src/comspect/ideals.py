@@ -39,12 +39,10 @@ __all__ = [
     "dyadic_series_envelope",
     "check_geometric_stability",
     "StabilityReport",
-    "fit_decay_exponent",
 ]
 
 IN = "In"
 OUT = "Out"
-UNDECIDED = "UndecidedAtScale"
 
 
 @dataclass(frozen=True)
@@ -52,34 +50,26 @@ class IdealSpec:
     """A parametric ideal family with analytic membership rules.
 
     ``schatten`` requires a p-summable sequence, ``weaklp`` a bounded
-    n^{1/p} s_n; both carry complete quasi-norms, hence are geometrically
-    stable.  ``custom`` wraps a named decidable predicate on sequences and
-    must declare its own stability flag.
+    n^{1/p} s_n.  Both carry complete quasi-norms, hence are geometrically
+    stable, which is the hypothesis of the commutator-subspace criterion.
     """
 
     family: str
-    p: float | None = None
-    predicate: object = None
-    name: str = ""
-    custom_geometrically_stable: bool = False
+    p: float
 
     def __post_init__(self):
-        if self.family in ("schatten", "weaklp"):
-            if self.p is None or not (0 < self.p < math.inf):
-                raise ValueError(f"{self.family} requires finite p > 0")
-        elif self.family == "custom":
-            if self.predicate is None:
-                raise ValueError("custom ideal requires a predicate")
-        else:
+        if self.family not in ("schatten", "weaklp"):
             raise ValueError(f"unknown ideal family {self.family!r}")
+        if not (0 < self.p < math.inf):
+            raise ValueError(f"{self.family} requires finite p > 0")
 
     @classmethod
     def schatten(cls, p: float) -> "IdealSpec":
-        return cls("schatten", p=p, name=f"schatten:p={p:g}")
+        return cls("schatten", p)
 
     @classmethod
     def weak_lp(cls, p: float) -> "IdealSpec":
-        return cls("weaklp", p=p, name=f"weaklp:p={p:g}")
+        return cls("weaklp", p)
 
     @classmethod
     def parse(cls, text: str) -> "IdealSpec":
@@ -98,22 +88,14 @@ class IdealSpec:
         raise ValueError(f"unknown ideal family {family!r}")
 
     @property
-    def geometrically_stable(self) -> bool:
-        if self.family == "custom":
-            return self.custom_geometrically_stable
-        return True  # quasi-Banach families
-
-    @property
     def quasi_norm_exponent(self) -> float:
         """The r in the r-norm triangle inequality; min(p, 1) for both families."""
-        if self.p is None:
-            raise ValueError("custom ideals carry no quasi-norm exponent")
         return min(self.p, 1.0)
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    status: str  # In | Out | UndecidedAtScale
+    status: str  # In | Out: both ideal families always get a verdict
     scale: int = 0  # prefix length examined for the evidence
     evidence: dict = field(default_factory=dict)
 
@@ -128,9 +110,6 @@ def membership(s: ScalarSequence, ideal: IdealSpec) -> MembershipVerdict:
     Exact for every supported tail law; finite sequences (zero tail) are
     always members, with the partial quasi-norm carried as evidence.
     """
-    if ideal.family == "custom":
-        ok = bool(ideal.predicate(s))
-        return MembershipVerdict(IN if ok else OUT, s.base_length, {})
     if ideal.family == "schatten":
         total = s.schatten_sum(ideal.p)
         status = IN if math.isfinite(total) else OUT
@@ -269,12 +248,6 @@ def cesaro_membership(ces: CesaroSequence, ideal: IdealSpec) -> MembershipVerdic
         evidence["tail_exponent"] = ces.tail.a
     if n:
         evidence["n_times_c_at_scale"] = float(ces.prefix[-1] * n)
-
-    if ideal.family == "custom":
-        exponent, se = fit_decay_exponent(ces.prefix)
-        evidence["fitted_decay_exponent"] = exponent
-        evidence["fitted_decay_se"] = se
-        return MembershipVerdict(UNDECIDED, n, evidence)
 
     if ces.log_tail_coefficient is not None:
         # c_n ~ coeff * ln n / n: p-summable iff p > 1; weak-type iff p > 1
@@ -446,28 +419,3 @@ def check_geometric_stability(
         worst_chain_margin=worst,
         n_checked=n_max,
     )
-
-
-def fit_decay_exponent(values: np.ndarray) -> tuple[float, float]:
-    """Least-squares log-log decay exponent of a positive sequence tail.
-
-    Returns (exponent, standard_error); used as honest evidence when no
-    analytic tail model applies.
-    """
-    vals = np.asarray(values, dtype=float)
-    n = vals.size
-    lo = max(1, n // 4)
-    idx = np.arange(lo, n + 1)
-    y = vals[lo - 1 :]
-    pos = y > 0
-    if np.count_nonzero(pos) < 8:
-        return math.nan, math.inf
-    lx = np.log(idx[pos].astype(float))
-    ly = np.log(y[pos])
-    coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
-    slope = float(coeffs[0])
-    dof = max(1, np.count_nonzero(pos) - 2)
-    resid = float(residuals[0]) if len(residuals) else 0.0
-    var_x = float(np.sum((lx - lx.mean()) ** 2)) or 1.0
-    se = math.sqrt(resid / dof / var_x)
-    return -slope, se

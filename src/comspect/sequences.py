@@ -38,7 +38,6 @@ __all__ = [
     "FactorialPowerTail",
     "ScalarSequence",
     "frac_index",
-    "merge_decreasing",
     "round_sig",
 ]
 
@@ -449,17 +448,3 @@ def frac_index(s: ScalarSequence, r: float) -> float:
     if r <= 0:
         raise ValueError("fractional index must be positive")
     return float(s.value(int(math.ceil(r))))
-
-
-def merge_decreasing(a: ScalarSequence, b: ScalarSequence) -> ScalarSequence:
-    """Nonincreasing rearrangement of the multiset union of two sequences.
-
-    Supported exactly for finite sequences (the sequence model of a direct
-    sum); k-fold self-merges should use ``ScalarSequence.repeated``.
-    """
-    if a.tail is not None or b.tail is not None:
-        raise NotImplementedError("merge of sequences with analytic tails")
-    va = np.repeat(a.prefix, a.repeat)
-    vb = np.repeat(b.prefix, b.repeat)
-    merged = np.sort(np.concatenate([va, vb]))[::-1]
-    return ScalarSequence(merged)

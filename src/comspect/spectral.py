@@ -26,9 +26,6 @@ __all__ = [
     "eigenvalue_sequence",
     "singular_sequence",
     "hermitian_split",
-    "pencil",
-    "abs_operator",
-    "direct_sum",
 ]
 
 
@@ -181,38 +178,3 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     _require_finite(h, "hermitian part H")
     _require_finite(k, "hermitian part K")
     return h, k
-
-
-def pencil(t, z: complex) -> np.ndarray:
-    """The operator pencil (T + z*T*)/2."""
-    arr = validate_matrix(t)
-    return (arr + z * arr.conj().T) / 2.0
-
-
-def abs_operator(t) -> np.ndarray:
-    """Positive semidefinite square root of T*T.
-
-    Computed via the hermitian eigendecomposition of T*T with negative
-    rounding-error eigenvalues clamped to 0, so the result is exactly PSD.
-    """
-    arr = validate_matrix(t)
-    gram = arr.conj().T @ arr
-    gram = (gram + gram.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
-    w = np.sqrt(np.clip(w, 0.0, None))
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0
-
-
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal direct sum; the eigenvalue multiset is the union."""
-    a = validate_matrix(a)
-    b = validate_matrix(b)
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out

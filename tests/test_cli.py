@@ -65,6 +65,16 @@ class TestFunctional:
         dev = math.hypot(doc["chi"][0] - doc["chiPhi"][0], doc["chi"][1] - doc["chiPhi"][1])
         assert dev <= math.e * doc["nu"]
 
+    def test_broken_invariant_is_numerical(self, diag_matrix, capsys, monkeypatch):
+        import comspect.functionals as functionals
+        from comspect import cli
+
+        monkeypatch.setattr(functionals, "chi_phi", lambda eig, pair: 100j)
+        assert cli.main(["functional", "-i", diag_matrix]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: smoothed threshold sum strays beyond e * nu\n"
+
 
 class TestCutoffReport:
     def test_constants(self):
@@ -127,6 +137,7 @@ class TestCriterion:
         [
             ("nuclear:p=1", "input error: unknown ideal family 'nuclear'"),
             ("schatten", "input error: cannot parse ideal spec 'schatten'"),
+            ("custom:p=1", "input error: unknown ideal family 'custom'"),
         ],
     )
     @pytest.mark.parametrize("command", ["criterion", "stability"])
@@ -596,6 +607,32 @@ class TestImportGraph:
             assert getattr(owner, name) is getattr(comspect, name)
         with pytest.raises(ImportError):
             exec("from comspect import no_such_name", {})
+        with pytest.raises(AttributeError):
+            comspect.pencil
+
+    def test_every_export_is_used_in_the_package(self):
+        # each name in a module's __all__ is loaded somewhere in the package
+        # outside its own definition; the lazy table in __init__ does not count
+        import ast
+        import pathlib
+
+        import comspect
+
+        exported, used = {}, set()
+        for path in sorted(pathlib.Path(comspect.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]:
+                    exported.update(dict.fromkeys(ast.literal_eval(stmt.value), path.stem))
+                    continue
+                own = getattr(stmt, "name", None)
+                used |= {
+                    node.id
+                    for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own
+                }
+        assert sorted(f"{module}.{name}" for name, module in exported.items() if name not in used) == []
 
 
 class TestDeterminism:

@@ -264,12 +264,6 @@ class TestCommutatorMembership:
         assert report.verdict == "NotInComJ"
         assert report.condition2.evidence["tail_coefficient"] == pytest.approx(3.0)
 
-    def test_custom_ideal_undecided(self):
-        spec = IdealSpec("custom", predicate=lambda s: True, name="opaque")
-        report = commutator_membership(_eig([1.0, -0.5]), spec)
-        assert report.verdict == "UndecidedAtScale"
-        assert "geometrically stable" in report.explanation
-
     def test_split_consistency_for_diagonal_input(self, rng):
         # joint verdict agrees with the H/K verdicts for Schatten(1)
         d = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from comspect.cutoffs import (
+    ConvexCorrector,
     SmoothStep,
     _psi_second_scalar,
     _reference_integral,
@@ -12,28 +13,26 @@ from comspect.cutoffs import (
     eval_g,
     eval_h,
     laplacian_grid_check,
-    make_phi,
-    make_psi,
 )
 from comspect.errors import NumericalError
 
 
 class TestSmoothStep:
     def test_clamped_regions(self):
-        phi = make_phi()
+        phi = SmoothStep()
         assert phi(-1.0) == 0.0
         assert phi(2.0) == 1.0
         assert phi.d1(-0.5) == 0.0 and phi.d2(1.5) == 0.0
 
     def test_midpoint_symmetry(self):
-        phi = make_phi()
+        phi = SmoothStep()
         assert phi(0.5) == pytest.approx(0.5, abs=1e-15)
         xs = np.linspace(0.01, 0.99, 50)
         assert np.allclose(phi(xs) + phi(1 - xs), 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("x", [0.2, 0.5, 0.8])
     def test_derivatives_match_finite_differences(self, x):
-        phi = make_phi()
+        phi = SmoothStep()
         h = 1e-6
         fd1 = (phi(x + h) - phi(x - h)) / (2 * h)
         assert phi.d1(x) == pytest.approx(fd1, abs=1e-6)
@@ -43,7 +42,7 @@ class TestSmoothStep:
         assert phi.d2(x) == pytest.approx(fd2, abs=1e-4 * (1 + abs(fd2)))
 
     def test_nondecreasing_on_grid(self):
-        phi = make_phi()
+        phi = SmoothStep()
         vals = phi(np.linspace(-1, 2, 3001))
         assert np.all(np.diff(vals) >= -1e-15)
 
@@ -104,7 +103,7 @@ class TestSelfCheck:
 
     @pytest.mark.parametrize("which", [2, 3])  # the value and the slope interpolant
     def test_perturbed_piece_fails_the_check(self, which):
-        psi = make_psi(make_phi())
+        psi = ConvexCorrector(SmoothStep())
         cuts = [piece[0] for piece in psi._pieces] + [1.0]
         psi._self_check(cuts)
         k = next(i for i, (lo, hi, _, _) in enumerate(psi._pieces) if lo <= 0.5 < hi)
@@ -166,7 +165,7 @@ class TestCanonicalPair:
                 return super().d2(np.asarray(x, dtype=float) - 1e-5)
 
         with pytest.raises(NumericalError, match="changes sign"):
-            make_psi(ShiftedStep())
+            ConvexCorrector(ShiftedStep())
 
 
 class TestC1Constant:

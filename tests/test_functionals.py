@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from comspect.cutoffs import eval_g, eval_h
+from comspect.errors import NumericalError
 from comspect.functionals import (
     FunctionalReport,
     chi,
@@ -17,8 +19,6 @@ from comspect.functionals import (
 )
 from comspect.spectral import (
     EigenSequence,
-    abs_operator,
-    direct_sum,
     eigenvalue_sequence,
     hermitian_split,
     singular_sequence,
@@ -80,8 +80,14 @@ class TestChiPhi:
             assert abs(rep.chi - rep.chi_phi) <= math.e * rep.nu + 1e-9
 
     def test_report_rejects_inconsistency(self):
-        with pytest.raises(ValueError):
+        # a broken invariant is an internal fault (exit 3), not an input error
+        with pytest.raises(NumericalError, match="strays beyond e"):
             FunctionalReport(nu=0, mu=0.0, chi=5.0 + 0j, chi_phi=0j)
+
+    @pytest.mark.parametrize(("nu_value", "mu_value"), [(-1, 0.0), (0, -1.0), (0, math.inf), (0, math.nan)])
+    def test_report_rejects_bad_counts(self, nu_value, mu_value):
+        with pytest.raises(NumericalError, match="finite and nonnegative"):
+            FunctionalReport(nu=nu_value, mu=mu_value, chi=0j, chi_phi=0j)
 
 
 class TestFHat:
@@ -148,7 +154,7 @@ class TestLemmaInequalities:
     def test_additivity_over_direct_sum(self, pair, rng):
         a = _random_matrix(rng, 4, 2.0)
         b = _random_matrix(rng, 3, 0.7)
-        both = eigenvalue_sequence(direct_sum(a, b))
+        both = eigenvalue_sequence(block_diag(a, b))
         ea, eb = eigenvalue_sequence(a), eigenvalue_sequence(b)
         assert nu(both) == nu(ea) + nu(eb)
         assert mu(both) == pytest.approx(mu(ea) + mu(eb), abs=1e-10)
@@ -159,7 +165,7 @@ class TestLemmaInequalities:
 
     def test_duplicated_block_doubles_nu(self, rng):
         a = _random_matrix(rng, 4, 2.0)
-        assert nu(eigenvalue_sequence(direct_sum(a, a))) == 2 * nu(eigenvalue_sequence(a))
+        assert nu(eigenvalue_sequence(block_diag(a, a))) == 2 * nu(eigenvalue_sequence(a))
 
     def test_scaling_bound(self, rng):
         # |alpha chi(T) - chi(alpha T)| <= nu(T) for |alpha| <= 1

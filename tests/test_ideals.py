@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from comspect.ideals import (
     cesaro_sequence,
     check_geometric_stability,
     dyadic_series_envelope,
-    fit_decay_exponent,
     geometric_mean_seq,
     max_envelope,
     membership,
@@ -82,11 +82,11 @@ class TestIdealSpec:
         assert IdealSpec.schatten(0.5).quasi_norm_exponent == 0.5
         assert IdealSpec.schatten(2.0).quasi_norm_exponent == 1.0
 
-    def test_stability_flags(self):
-        assert IdealSpec.schatten(0.5).geometrically_stable
-        assert IdealSpec.weak_lp(3.0).geometrically_stable
-        custom = IdealSpec("custom", predicate=lambda s: True, name="always")
-        assert not custom.geometrically_stable
+    def test_fields_are_family_and_p(self):
+        # both families are quasi-Banach, hence geometrically stable: no flag to set
+        assert [f.name for f in dataclasses.fields(IdealSpec)] == ["family", "p"]
+        with pytest.raises(ValueError, match="unknown ideal family 'custom'"):
+            IdealSpec("custom", 1.0)
 
 
 class TestMembership:
@@ -107,11 +107,6 @@ class TestMembership:
 
     def test_geometric_always_in(self):
         assert membership(ScalarSequence.geometric_law(3, 0.9), IdealSpec.schatten(0.25)).status == "In"
-
-    def test_custom_predicate(self):
-        spec = IdealSpec("custom", predicate=lambda s: s.value(1) < 1, name="small-head")
-        assert membership(ScalarSequence.finite([0.5]), spec).status == "In"
-        assert membership(ScalarSequence.finite([2.0]), spec).status == "Out"
 
     def test_pointwise_domination_monotone(self, rng):
         # s <= s' pointwise and s' In implies s In
@@ -353,11 +348,3 @@ class TestGeometricStability:
             )
             assert math.isfinite(rep.empirical_constant)
             assert rep.chain_holds
-
-
-class TestFitDecay:
-    def test_recovers_power_exponent(self):
-        n = np.arange(1, 2001, dtype=float)
-        exponent, se = fit_decay_exponent(3.0 * n**-1.7)
-        assert exponent == pytest.approx(1.7, abs=1e-6)
-        assert se < 1e-6

@@ -13,7 +13,6 @@ from comspect.sequences import (
     PowerTail,
     ScalarSequence,
     frac_index,
-    merge_decreasing,
     round_sig,
 )
 
@@ -194,31 +193,11 @@ class TestAggregates:
         assert np.all(vals >= m**-2.0 - 1e-15)
 
 
-class TestMergeAndScale:
-    def test_merge_example(self):
-        merged = merge_decreasing(ScalarSequence.finite([3, 1]), ScalarSequence.finite([2]))
-        assert list(merged.prefix) == [3, 2, 1]
-
-    def test_merge_with_empty(self):
-        s = ScalarSequence.finite([2, 1])
-        merged = merge_decreasing(s, ScalarSequence.finite([]))
-        assert list(merged.prefix) == [2, 1]
-
+class TestScaled:
     def test_scaled_tail(self):
         s = ScalarSequence(np.array([4.0]), PowerTail(2.0, 1.0)).scaled(3.0)
         assert s.value(1) == 12.0
         assert s.value(10) == pytest.approx(0.6)
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=100), min_size=0, max_size=12),
-        st.lists(st.floats(min_value=0, max_value=100), min_size=0, max_size=12),
-    )
-    def test_merge_is_sorted_union(self, a, b):
-        sa = ScalarSequence(np.sort(np.asarray(a, float))[::-1])
-        sb = ScalarSequence(np.sort(np.asarray(b, float))[::-1])
-        merged = merge_decreasing(sa, sb)
-        expected = np.sort(np.concatenate([sa.prefix, sb.prefix]))[::-1]
-        assert np.array_equal(merged.prefix, expected)
 
 
 class TestRoundSig:

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from comspect.spectral import (
     EigenSequence,
-    abs_operator,
-    direct_sum,
     eigenvalue_sequence,
     hermitian_split,
-    pencil,
     singular_sequence,
 )
 
@@ -105,52 +103,12 @@ class TestHermitianSplit:
             assert np.linalg.norm(h + 1j * k - m) <= 1e-14 * np.linalg.norm(m)
 
 
-class TestPencil:
-    def test_endpoints(self, rng):
-        m = _random_matrix(rng, 4)
-        h, k = hermitian_split(m)
-        assert np.allclose(pencil(m, 1.0), h)
-        assert np.allclose(pencil(m, -1.0), 1j * k)
-        assert np.allclose(pencil(m, 0.0), m / 2)
-
-    def test_circle_identity(self, rng):
-        # F(e^{i theta}) = ((1+e^{i theta})/2) H + i ((1-e^{i theta})/2) K
-        m = _random_matrix(rng, 5)
-        h, k = hermitian_split(m)
-        for theta in np.linspace(0, 2 * np.pi, 17):
-            w = np.exp(1j * theta)
-            lhs = pencil(m, w)
-            rhs = (1 + w) / 2 * h + 1j * (1 - w) / 2 * k
-            assert np.allclose(lhs, rhs, atol=1e-14 * np.linalg.norm(m))
-
-
-class TestAbsOperator:
-    def test_diagonal(self):
-        assert np.allclose(abs_operator(np.diag([-2.0, 1.0j])), np.diag([2.0, 1.0]))
-
-    def test_unitary_gives_identity(self, rng):
-        q, _ = np.linalg.qr(_random_matrix(rng, 5))
-        assert np.allclose(abs_operator(q), np.eye(5), atol=1e-12)
-
-    def test_square_recovers_gram(self, rng):
-        for _ in range(15):
-            m = _random_matrix(rng, 6)
-            a = abs_operator(m)
-            assert np.allclose(a @ a, m.conj().T @ m, atol=1e-10)
-            w = np.linalg.eigvalsh(a)
-            assert np.all(w >= -1e-13)
-
-
 class TestDirectSum:
-    def test_block_layout(self):
-        out = direct_sum(np.array([[1.0]]), np.array([[2.0]]))
-        assert np.allclose(out, np.diag([1.0, 2.0]))
-
     def test_eigenvalues_merge_by_modulus(self, rng):
         for _ in range(10):
             a = _random_matrix(rng, 4)
             b = _random_matrix(rng, 3)
-            merged = eigenvalue_sequence(direct_sum(a, b))
+            merged = eigenvalue_sequence(block_diag(a, b))
             separate = np.concatenate(
                 [eigenvalue_sequence(a).values, eigenvalue_sequence(b).values]
             )
