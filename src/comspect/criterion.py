@@ -293,7 +293,7 @@ def witness_4_to_3(lam: EigenSequence, t: ScalarSequence) -> ScalarSequence:
     mods = lam.moduli
     horizon = max(mods.size, t.base_length * t.repeat) + t.repeat
     ns = np.arange(1, horizon + 1)
-    t_vals = np.asarray(t.value(ns))
+    t_vals = t.head(horizon)
     short = t_vals[: mods.size] < mods * (1 - STORED_SLACK) - TINY
     if np.any(short):
         raise ValueError(f"witness fails s_n >= |lambda_n| at n={int(np.argmax(short)) + 1}")

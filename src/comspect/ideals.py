@@ -22,6 +22,7 @@ from .sequences import (
     GeometricTail,
     PowerTail,
     ScalarSequence,
+    log_factorials,
     round_sig,
 )
 from .spectral import EigenSequence
@@ -146,13 +147,10 @@ class EigenLaw:
             raise ValueError(f"unknown eigen law {self.kind!r}")
 
     def prefix_values(self, n: int) -> np.ndarray:
-        k = np.arange(1, n + 1, dtype=float)
-        if self.kind == "power":
-            vals = self.c * k ** (-self.a)
-        else:
-            vals = self.c * self.q**k
-        if self.alternating:
-            vals = vals * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        law = PowerTail(self.c, self.a) if self.kind == "power" else GeometricTail(self.c, self.q)
+        vals = law.value_range(0, n)
+        if self.alternating:  # negating is exact: the floats of vals * (+1, -1, ...)
+            np.negative(vals[1::2], out=vals[1::2])
         return vals
 
     def partial_sum_limit(self) -> float | None:
@@ -202,8 +200,9 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
         # first use while they were alive raised the peak RSS by ~14 MB
         limit = lam.partial_sum_limit()
         vals = lam.prefix_values(prefix_length)
-        sums = np.cumsum(vals)
-        prefix = np.abs(sums) / np.arange(1, prefix_length + 1)
+        prefix = np.cumsum(vals, out=vals)  # in place, like abs and the divide
+        np.abs(prefix, out=prefix)
+        prefix /= np.arange(1, prefix_length + 1, dtype=float)
         if limit is not None:
             return CesaroSequence(prefix, PowerTail(abs(limit), 1.0), False)
         # positive power law with a <= 1: partial sums diverge
@@ -392,8 +391,6 @@ def check_geometric_stability(
     chain is pointwise, so an input outside the ideal gets it and both
     verdicts too.
     """
-    from scipy.special import gammaln
-
     verdict_in = membership(s, ideal)
     t = geometric_mean_seq(s)
     verdict_t = membership(t, ideal)
@@ -405,7 +402,7 @@ def check_geometric_stability(
     ratio = np.divide(t_vals, u_vals, out=np.zeros_like(t_vals), where=u_vals > 0)
     empirical = float(np.max(ratio)) if n_max else 0.0
     # the displayed comparison t_n <= 2^theta n^theta (n!)^(-theta/n) u_n
-    factor = np.exp(theta * (math.log(2.0) + np.log(n) - gammaln(n + 1) / n))
+    factor = np.exp(theta * (math.log(2.0) + np.log(n) - log_factorials(n_max) / n))
     margin = t_vals - factor * u_vals
     worst = float(np.max(margin / (1.0 + factor * u_vals)))
     proof_c = (2.0 * math.e) ** theta

@@ -38,6 +38,7 @@ __all__ = [
     "FactorialPowerTail",
     "ScalarSequence",
     "frac_index",
+    "log_factorials",
     "round_sig",
 ]
 
@@ -75,6 +76,25 @@ def gammaln(x):
     from scipy.special import gammaln
 
     return gammaln(x)
+
+
+_log_factorials = None  # the one log-factorial array, filled by log_factorials()
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log(m!) = gammaln(m + 1) for m = 1..n, as a read-only array.
+
+    One array serves every caller: it fills on first use, is rebuilt only
+    when a larger n is asked for (the largest is kept), and a smaller n gets
+    a slice of it.  Its entries are gammaln's own, so log_factorials(n) / m
+    has the bits of gammaln(m + 1) / m.
+    """
+    global _log_factorials
+    if _log_factorials is None or _log_factorials.size < n:
+        table = gammaln(np.arange(2, n + 2, dtype=float))
+        table.flags.writeable = False
+        _log_factorials = table
+    return _log_factorials[:n]
 
 
 def round_sig(x):
@@ -127,8 +147,16 @@ def _floor_index(v: np.ndarray) -> np.ndarray:
     return np.array([math.floor(u) for u in lifted.tolist()], dtype=object)
 
 
+class _TailLaw:
+    """What the tail laws share: contiguous positions in one array."""
+
+    def value_range(self, start: int, stop: int) -> np.ndarray:
+        """value(m) for the positions m = start+1..stop."""
+        return self.value_at(np.arange(start + 1, stop + 1, dtype=float))
+
+
 @dataclass(frozen=True)
-class PowerTail:
+class PowerTail(_TailLaw):
     """Tail law value(m) = c * m**(-a) for positions m beyond the prefix."""
 
     c: float
@@ -169,7 +197,7 @@ class PowerTail:
 
 
 @dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(_TailLaw):
     """Tail law value(m) = c * q**m with 0 < q < 1."""
 
     c: float
@@ -180,8 +208,20 @@ class GeometricTail:
             raise ValueError("geometric tail requires c > 0 and 0 < q < 1")
 
     def value_at(self, m):
+        """c * q**m, with pow called only where m <= 1100 / -log2(q).
+
+        Beyond that cut m * -log2(q) > 1100, so q**m < 2**-1100, far below
+        half the smallest subnormal (2**-1075); rounding the cut moves it by
+        a few ulps, nowhere near the 25 bits to spare.  The nearest float to
+        q**m is then +0, and the nearest nonzero one, 2**-1074, is more than
+        0.99 ulp away, so any pow within that accuracy returns +0 there and
+        c * (+0) = +0 for the finite c > 0.  Skipping those calls skips
+        libm's slow underflow path (at q = 0.45 pow runs at 954 of the first
+        10**5 positions), and every value keeps its bits.
+        """
         m = np.asarray(m, dtype=float)
-        return self.c * self.q**m
+        cut = 1100.0 / -math.log2(self.q)
+        return self.c * np.power(self.q, m, out=np.zeros(m.shape), where=m <= cut)
 
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
@@ -195,7 +235,7 @@ class GeometricTail:
 
 
 @dataclass(frozen=True)
-class FactorialPowerTail:
+class FactorialPowerTail(_TailLaw):
     """Tail law value(m) = c * (m!)**(-a/m), the running geometric mean of c*n^-a.
 
     Sandwiched between c*m^-a and c*(e/m)^a, so ideal membership matches the
@@ -214,6 +254,12 @@ class FactorialPowerTail:
         m = np.asarray(m, dtype=float)
         return self.c * np.exp(-self.a * gammaln(m + 1) / m)
 
+    def value_range(self, start: int, stop: int) -> np.ndarray:
+        """value_at over m = start+1..stop, with log(m!) from the shared
+        log_factorials(stop) array: the same floats, no second gammaln pass."""
+        m = np.arange(start + 1, stop + 1, dtype=float)
+        return self.c * np.exp(-self.a * log_factorials(stop)[start:] / m)
+
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
         if ap <= 1:
@@ -221,8 +267,7 @@ class FactorialPowerTail:
         from scipy.special import zeta as hurwitz_zeta
 
         # value <= c * (e/m)^a, so bound via the Hurwitz zeta of the majorant
-        m = np.arange(start + 1, start + 100001, dtype=float)
-        head = float(np.sum(self.value_at(m) ** p))
+        head = float(np.sum(self.value_range(start, start + 100000) ** p))
         tail = (self.c * math.e**self.a) ** p * float(
             hurwitz_zeta(self.a * p, start + 100001)
         )
@@ -235,7 +280,7 @@ class FactorialPowerTail:
         if ap == 1:
             return self.c * math.e**self.a  # m^a/(m!)^(a/m) increases to e^a
         m = np.arange(start + 1, start + 10001, dtype=float)
-        return float(np.max(m ** (1.0 / p) * self.value_at(m)))
+        return float(np.max(m ** (1.0 / p) * self.value_range(start, start + 10000)))
 
 
 Tail = PowerTail | GeometricTail | FactorialPowerTail
@@ -308,8 +353,15 @@ class ScalarSequence:
         return out if out.ndim else float(out)
 
     def head(self, n: int) -> np.ndarray:
-        """First n entries, materialized."""
-        return np.asarray(self.value(np.arange(1, n + 1)))
+        """First n entries, materialized: the floats of value(1..n), with the
+        tail evaluated once per base position and then replayed."""
+        nb = -(-n // self.repeat)  # base positions 1..nb cover 1..n
+        k = min(nb, self.prefix.size)
+        out = np.zeros(nb)
+        out[:k] = self.prefix[:k]
+        if self.tail is not None and nb > k:
+            out[k:] = self.tail.value_range(k, nb)
+        return out if self.repeat == 1 else np.repeat(out, self.repeat)[:n]
 
     # -- aggregates (all exact, tails in closed form) ------------------
 

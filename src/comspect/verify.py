@@ -419,7 +419,7 @@ def _trial_cycle_control(rng) -> _Trial:
     prefix += [1.0] * (m0 - len(prefix))
     t = ScalarSequence(np.array(sorted(prefix, reverse=True)), PowerTail(c_t, 1.0))
     c4 = condition4_check(lam, t)
-    s_vals = np.asarray(t.value(np.arange(1, 6)))
+    s_vals = t.head(5)
     # asserted (false) claim: condition (4) alone forces c_n <= s_n(T)
     lhs = float(np.max(lam.cesaro_means - s_vals)) if c4.holds else 0.0
     return _Trial(lhs, 0.0, c4.holds, matrix_fingerprint(np.float64(g).tobytes()), None)

@@ -199,6 +199,26 @@ class TestCriterion:
         assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
 
+    @pytest.mark.parametrize(
+        ("a", "digest"),
+        [
+            (0.5, "b30510b5bb2b8a2114593b4f34474527f19dd844004beeb8cc390612825f3c74"),
+            (1.0, "a2b62e391e14c58425a3a2dff4b619659de7dcf3d3e5fca106fc458b565035b6"),
+        ],
+        ids=["a0.5", "a1"],
+    )
+    def test_alternating_law_document_pinned(self, tmp_path, capsys, a, digest):
+        # the 10^6-term Cesàro prefix of an alternating law
+        import hashlib
+
+        from comspect import cli
+
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"kind": "power", "c": 1.0, "a": a, "alternating": True}))
+        assert cli.main(["criterion", "-i", str(path), "--ideal", "schatten:p=1"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestStability:
     def test_power_law_report(self, tmp_path):
         path = tmp_path / "seq.json"
@@ -254,8 +274,13 @@ class TestStability:
                 "schatten:p=1",
                 "4088acef5637af5ae4ec24afc820ab17c9f0746bd12510344fa95d1b2b976b83",
             ),
+            (  # q**m is +0 from m = 249 on; GeometricTail.value_at calls pow up to m = 254
+                {"kind": "geometric", "c": 1, "q": 0.05},
+                "schatten:p=1",
+                "90a63c28e02921379c87815f0c5422e3eb7128467721fbf62d456419b5bb6481",
+            ),
         ],
-        ids=["power", "geometric", "finite"],
+        ids=["power", "geometric", "finite", "geometric-q0.05"],
     )
     def test_document_bytes_pinned(self, tmp_path, capsys, doc, ideal, digest):
         # the default n = 10^5 scan, through the dyadic envelope
@@ -539,6 +564,13 @@ class TestImportGraph:
     @pytest.mark.parametrize("stmt", ["import comspect", "import comspect.cli"])
     def test_package_import_loads_no_numerics(self, stmt):
         code = f"{stmt}; import sys; print([m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules])"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == b"[]"
+
+    def test_sequence_modules_load_no_scipy(self):
+        # gammaln and the Hurwitz zeta load on first use, never at import
+        code = "import sys, comspect.ideals, comspect.sequences; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == b"[]"
