@@ -20,6 +20,12 @@ closed forms apply math.floor and math.log per element (numpy's vectorized
 log differs from math.log in the last bit on some inputs), and each prefix
 log-sum is one 1-D numpy sum.  `sum_plog_bounds` brackets `sum_plog` in
 O(log prefix) per scale, for alpha scans that need few exact prefix sums.
+
+The tail laws' special functions, log-gamma at integer positions
+(`gammaln`, with the shared `log_factorials` table) and the Hurwitz zeta,
+are in-module ports of the cephes routines behind scipy.special.gammaln and
+scipy.special.zeta.  They repeat cephes' operations one for one and give
+scipy's bits, so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -64,37 +70,139 @@ def exceeds_scaled(a, b):
 PLOG_SAFETY = 64.0  # sum_plog_bounds' radius over u(k+1)(B+1); its derivation needs 20
 
 
+# cephes' constants of lgam (gammaln) and zeta (hurwitz_zeta)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # lgam overflows beyond this
+_LGAM_A = (  # the Stirling correction below x = 1000, highest power first
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_MACHEP = 1.11022302462515654042e-16
+_ZETA_A = (  # (2k)! / B_2k, the Euler-Maclaurin coefficients
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+
+
 def gammaln(x):
-    """scipy.special.gammaln, imported on the first call.
+    """log Gamma(x) = log((x-1)!), bit for bit as scipy.special.gammaln.
 
-    scipy.special takes about 0.3 s to import and most commands never reach
-    a tail law that needs it.  The import rebinds this module-level name to
-    the ufunc itself, so later calls (hundreds of thousands in an alpha scan)
-    pay nothing for the deferral.
+    The domain is integer-valued x >= 1: every caller passes tail positions,
+    and other x get wrong values.  A call whose positions all lie in the
+    log_factorials table is one gather from it; any other call evaluates
+    cephes lgam (_lgam) at every position.  Its logs come from math.log, the
+    C library's log that cephes calls, because numpy's vectorized log
+    differs from it in the last bit on some inputs.  Table and formula give
+    the same bits, so the result does not depend on how far the table is
+    filled.
     """
-    global gammaln
-    from scipy.special import gammaln
+    x = np.asarray(x, dtype=float)
+    table = _log_factorials
+    if table is not None and x.max(initial=0.0) <= table.size:
+        return table[(x - 1).astype(np.intp)]
+    return _lgam(x.reshape(-1)).reshape(x.shape)[()]
 
-    return gammaln(x)
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """cephes lgam over a 1-D array of integers x >= 1.
+
+    Below 13 it is the log of the exact product (x-1)!; above, Stirling's
+    series with a correction term up to x = 1e8 and none beyond, and inf
+    past _MAXLGM.  The + - * / steps run on arrays, since each is correctly
+    rounded; the logs are math.log's (see gammaln).
+    """
+    small = x < 13.0
+    z = x.copy()
+    z[small] = [math.factorial(int(u) - 1) for u in x[small].tolist()]  # exact
+    logs = _map(math.log, z)
+    with np.errstate(over="ignore"):  # beyond _MAXLGM, where the result is inf
+        q = (x - 0.5) * logs - x + _LS2PI
+    near = x <= 1e8
+    xn = x[near]
+    p = 1.0 / (xn * xn)
+    series = _LGAM_A[0] * p + _LGAM_A[1]  # Horner, as cephes polevl
+    for coef in _LGAM_A[2:]:
+        series = series * p + coef
+    far = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333)
+    q[near] += np.where(xn >= 1000.0, far, series) / xn
+    q[x > _MAXLGM] = math.inf
+    return np.where(small, logs, q)
 
 
-_log_factorials = None  # the one log-factorial array, filled by log_factorials()
+def hurwitz_zeta(x: float, q: float) -> float:
+    """The Hurwitz zeta sum over k >= 0 of (k + q)**-x, for x > 1 and q >= 1,
+    as scipy.special.zeta(x, q): cephes zeta in Python floats, with the C
+    library's pow behind ** as in cephes.
+
+    Euler-Maclaurin: sum the first terms until one falls below MACHEP of the
+    sum (at least 9 of them, and up to k + q > 9), then add the integral, the
+    half term and up to 12 Bernoulli corrections.  For q > 1e8 the two-term
+    asymptotic expansion.  A sum that underflows to 0 takes the same steps
+    as in C, where the ratio tests see NaN and fail.
+    """
+    q = float(q)
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if s != 0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if s != 0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+_log_factorials = None  # log(m!) for m = 0..n, filled by log_factorials()
 
 
 def log_factorials(n: int) -> np.ndarray:
     """log(m!) = gammaln(m + 1) for m = 1..n, as a read-only array.
 
-    One array serves every caller: it fills on first use, is rebuilt only
-    when a larger n is asked for (the largest is kept), and a smaller n gets
-    a slice of it.  Its entries are gammaln's own, so log_factorials(n) / m
-    has the bits of gammaln(m + 1) / m.
+    One table serves every caller: it holds log(m!) from m = 0, fills on
+    first use, is rebuilt only when a larger n is asked for (the largest is
+    kept), and a smaller n gets a slice of it.  Its entries are _lgam's own,
+    so log_factorials(n) / m has the bits of gammaln(m + 1) / m.
     """
     global _log_factorials
-    if _log_factorials is None or _log_factorials.size < n:
-        table = gammaln(np.arange(2, n + 2, dtype=float))
+    if _log_factorials is None or _log_factorials.size <= n:
+        table = _lgam(np.arange(1, n + 2, dtype=float))
         table.flags.writeable = False
         _log_factorials = table
-    return _log_factorials[:n]
+    return _log_factorials[1 : n + 1]
 
 
 def round_sig(x):
@@ -129,7 +237,7 @@ def _batched(query):
 
 def _map(fn, values: np.ndarray) -> np.ndarray:
     """fn applied to the elements of a 1-D array as Python scalars."""
-    return np.array([fn(u) for u in values.tolist()], dtype=float)
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
 
 
 def _floor_index(v: np.ndarray) -> np.ndarray:
@@ -182,9 +290,7 @@ class PowerTail(_TailLaw):
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
-        from scipy.special import zeta as hurwitz_zeta
-
-        return self.c**p * float(hurwitz_zeta(self.a * p, start + 1))
+        return self.c**p * hurwitz_zeta(self.a * p, start + 1)
 
     def weak_sup(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -264,13 +370,9 @@ class FactorialPowerTail(_TailLaw):
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
-        from scipy.special import zeta as hurwitz_zeta
-
         # value <= c * (e/m)^a, so bound via the Hurwitz zeta of the majorant
         head = float(np.sum(self.value_range(start, start + 100000) ** p))
-        tail = (self.c * math.e**self.a) ** p * float(
-            hurwitz_zeta(self.a * p, start + 100001)
-        )
+        tail = (self.c * math.e**self.a) ** p * hurwitz_zeta(self.a * p, start + 100001)
         return head + tail
 
     def weak_sup(self, p: float, start: int) -> float:
@@ -309,10 +411,9 @@ class ScalarSequence:
             raise ValueError("prefix must be nonincreasing")
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
-        if self.tail is not None:
+        if self.tail is not None and arr.size:  # a bare law has no junction
             junction = float(np.asarray(self.tail.value_at(arr.size + 1)))
-            floor = arr[-1] if arr.size else math.inf
-            if exceeds(junction, floor, DERIVED_SLACK):
+            if exceeds(junction, arr[-1], DERIVED_SLACK):
                 raise ValueError("tail start exceeds last prefix entry")
 
     # -- constructors -------------------------------------------------
@@ -447,7 +548,7 @@ class ScalarSequence:
         n = self.prefix.size
         with np.errstate(over="ignore"):  # an overflowing alpha*c raises NumericalError
             lead = alpha * c
-        m_top = _floor_index(lead).astype(float)  # gammaln takes no Python ints; exact below 2**53
+        m_top = _floor_index(lead).astype(float)  # exact below 2**53
         live = m_top > n
         log_lead = _map(math.log, np.where(live, lead, 1.0))
         tail = (m_top - n) * log_lead - (gammaln(m_top + 1) - gammaln(n + 1))

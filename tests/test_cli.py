@@ -569,7 +569,7 @@ class TestImportGraph:
         assert r.stdout.strip() == b"[]"
 
     def test_sequence_modules_load_no_scipy(self):
-        # gammaln and the Hurwitz zeta load on first use, never at import
+        # gammaln and the Hurwitz zeta are in-module ports, and mpmath loads on first use
         code = "import sys, comspect.ideals, comspect.sequences; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
         assert r.returncode == 0, r.stderr
@@ -603,6 +603,26 @@ class TestImportGraph:
         assert report["code"] == 0
         assert report["loaded"] == ["numpy"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["criterion", "-i", '{"kind": "finite", "values": [1, 0.5]}', "--ideal", "schatten:p=1"],
+            ["stability", "-i", '{"kind": "power", "c": 1, "a": 3}', "--ideal", "schatten:p=0.5"],
+            ["verify", "--suite", "prop3_2", "--trials", "1"],
+        ],
+    )
+    def test_tail_law_commands_load_numpy_only(self, tmp_path, args):
+        # the harmonic witness of criterion, the geometric means and Schatten sums
+        # of stability and prop3_2 need log-gamma and the Hurwitz zeta
+        doc = next((a for a in args if a.startswith("{")), None)
+        if doc is not None:
+            path = tmp_path / "in.json"
+            path.write_text(doc)
+            args = [str(path) if a == doc else a for a in args]
+        report = _probe_cli(args)
+        assert report["code"] == 0
+        assert report["loaded"] == ["numpy"]
+
     def test_default_cutoff_pair_imports_no_scipy_or_mpmath(self):
         code = (
             "import sys; from comspect.cutoffs import default_cutoff_pair; default_cutoff_pair(); "
@@ -612,19 +632,19 @@ class TestImportGraph:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == b"[]"
 
-    def test_cutoffs_source_has_no_scipy_import(self):
+    def test_package_source_has_no_scipy_import(self):
         import ast
         import pathlib
 
         import comspect
 
-        source = pathlib.Path(comspect.__file__).parent / "cutoffs.py"
         found = []
-        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                found.append(node.module)
+        for source in sorted(pathlib.Path(comspect.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found += [(source.name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                    found.append((source.name, node.module))
         assert found == []
 
     def test_every_export_resolves(self):

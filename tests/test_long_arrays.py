@@ -216,15 +216,15 @@ class TestLogFactorials:
         assert np.shares_memory(log_factorials(100), large)
         assert np.shares_memory(log_factorials(1000), large)
 
-    def test_stability_evaluates_gammaln_once(self, fresh_table, monkeypatch):
+    def test_stability_fills_the_table_once(self, fresh_table, monkeypatch):
         sizes = []
+        lgam = sequences._lgam
 
-        def counting_gammaln(x):
+        def counting_lgam(x):
             sizes.append(np.size(x))
-            return gammaln(x)
+            return lgam(x)
 
-        monkeypatch.setattr(sequences, "gammaln", counting_gammaln)
+        monkeypatch.setattr(sequences, "_lgam", counting_lgam)
         n_max = 100_000
         check_geometric_stability(ScalarSequence.power_law(1.0, 3.0), IdealSpec.schatten(0.5), n_max)
-        assert sum(1 for size in sizes if size >= n_max) == 1
-        assert sum(sizes) <= n_max + 1  # the table, and the junction check's one position
+        assert sizes == [n_max + 1]  # one fill, log(m!) for m = 0..n_max; every other read is a gather
