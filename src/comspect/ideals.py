@@ -7,6 +7,9 @@ zero tails are always members.  The transforms are the Cesàro-mean sequence
 (with its exact harmonic tail |total|/m), the nonincreasing max-envelope,
 running geometric means, and the dyadic series envelope used to witness
 geometric stability of quasi-Banach ideals.
+
+Membership of the rearranged Cesàro sequence (condition (2)) costs one sort
+of its prefix plus one batched tail count: O(n log n) in the prefix length.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .sequences import (
     DERIVED_SLACK,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
     ScalarSequence,
+    _map,
     log_factorials,
     round_sig,
 )
@@ -199,6 +204,8 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
         # taken before the 10^6-term prefix arrays exist: importing mpmath on
         # first use while they were alive raised the peak RSS by ~14 MB
         limit = lam.partial_sum_limit()
+        if limit == 0:  # the limit is positive, so 0 is an underflow, not finite support
+            raise NumericalError("the partial-sum limit of the eigenvalue law underflows to 0")
         vals = lam.prefix_values(prefix_length)
         prefix = np.cumsum(vals, out=vals)  # in place, like abs and the divide
         np.abs(prefix, out=prefix)
@@ -213,78 +220,62 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
     raise TypeError(f"unsupported eigenvalue input {type(lam).__name__}")
 
 
-def _weak_sup_multiset(prefix: np.ndarray, tail: PowerTail | None, start: int, p: float) -> float:
+def _weak_sup_multiset(prefix: np.ndarray, tail: PowerTail | None, p: float, limit: float) -> float:
     """sup_n n^{1/p} v*_n for the decreasing rearrangement of prefix + tail.
 
     Uses sup_x x * N(x)^{1/p} with N the counting function of the multiset;
-    candidates are the prefix values, a window of tail values, and the
-    analytic x -> 0 limit of the tail regime.
+    candidates are the positive prefix values and a window of 2,000 positive
+    tail values, and ``limit`` is the analytic x -> 0 limit of the tail regime.
+    N takes one sort of the prefix and one batched tail count, so the cost is
+    O(n log n) in the prefix length n.  N(x)^{1/p} is Python's ** (libm's
+    pow) on the integer counts.
     """
-    if tail is not None and round_sig(tail.a * p) < 1:
-        return math.inf
-    cands = list(np.unique(prefix[prefix > 0]))
-    limit = 0.0
+    n = prefix.size
+    cands = np.unique(prefix[prefix > 0])
     if tail is not None:
-        m = np.arange(start + 1, start + 2001, dtype=float)
-        cands.extend(np.unique(tail.value_at(m)))
-        if round_sig(tail.a * p) == 1:
-            limit = tail.c  # x * N(x)^{1/p} -> c from below in the tail regime
-    sup = limit
-    for x in cands:
-        count = int(np.count_nonzero(prefix >= x))
-        if tail is not None:
-            count += tail.count_ge(x, start)
-        sup = max(sup, x * count ** (1.0 / p))
-    return sup
+        window = tail.value_range(n, n + 2000)
+        cands = np.concatenate([cands, np.unique(window[window > 0])])
+    counts = n - np.searchsorted(np.sort(prefix), cands)  # #{prefix >= x}
+    if tail is not None:
+        counts = counts + tail.count_ge(cands, n)
+    return float(np.fmax.reduce(cands * _map(lambda k: k ** (1.0 / p), counts), initial=limit))
 
 
 def cesaro_membership(ces: CesaroSequence, ideal: IdealSpec) -> MembershipVerdict:
     """Membership of the (rearranged) Cesàro sequence in the ideal."""
     n = int(ces.prefix.size)
+    tail, p = ces.tail, ideal.p
     evidence: dict = {}
-    if ces.tail is not None:
-        evidence["tail_coefficient"] = ces.tail.c
-        evidence["tail_exponent"] = ces.tail.a
+    if tail is not None:
+        evidence["tail_coefficient"] = tail.c
+        evidence["tail_exponent"] = tail.a
     if n:
         evidence["n_times_c_at_scale"] = float(ces.prefix[-1] * n)
 
     if ces.log_tail_coefficient is not None:
         # c_n ~ coeff * ln n / n: p-summable iff p > 1; weak-type iff p > 1
-        coeff = ces.log_tail_coefficient
-        status = IN if ideal.p > 1 else OUT
-        evidence["log_tail_coefficient"] = coeff
-        return MembershipVerdict(status, n, evidence)
+        evidence["log_tail_coefficient"] = ces.log_tail_coefficient
+        return MembershipVerdict(IN if p > 1 else OUT, n, evidence)
 
-    if ces.tail is None:
-        # finite support (cancelling total): always a member
-        if ideal.family == "schatten":
-            evidence["p_sum"] = float(np.sum(ces.prefix**ideal.p))
-        else:
-            evidence["weak_sup"] = _weak_sup_multiset(ces.prefix, None, n, ideal.p)
-        return MembershipVerdict(IN, n, evidence)
-
-    tail = ces.tail
-    if ideal.family == "schatten":
-        ap = round_sig(tail.a * ideal.p)
-        if ap <= 1:
-            evidence["p_sum"] = math.inf
-            return MembershipVerdict(OUT, n, evidence)
-        if ces.tail_exact:
-            evidence["p_sum"] = float(np.sum(ces.prefix**ideal.p)) + tail.schatten_sum(
-                ideal.p, n
-            )
-        else:
-            evidence["p_sum_prefix"] = float(np.sum(ces.prefix**ideal.p))
-        return MembershipVerdict(IN, n, evidence)
-
-    # weak-lp
-    ap = round_sig(tail.a * ideal.p)
-    if ap < 1:
-        evidence["weak_sup"] = math.inf
+    # a tail c * m^(-a) is weak-lp iff a*p >= 1 and p-summable iff a*p > 1;
+    # no tail (a cancelling total) leaves finite support, always a member
+    ap = math.inf if tail is None else round_sig(tail.a * p)
+    if ideal.family == "weaklp":
+        # x * N(x)^{1/p} -> c from below in the tail regime when a*p = 1
+        sup = math.inf if ap < 1 else _weak_sup_multiset(ces.prefix, tail, p, tail.c if ap == 1 else 0.0)
+        evidence["weak_sup"] = sup
+        return MembershipVerdict(IN if tail is None or math.isfinite(sup) else OUT, n, evidence)
+    if ap <= 1:
+        evidence["p_sum"] = math.inf
         return MembershipVerdict(OUT, n, evidence)
-    sup = _weak_sup_multiset(ces.prefix, tail, n, ideal.p)
-    evidence["weak_sup"] = sup
-    return MembershipVerdict(IN if math.isfinite(sup) else OUT, n, evidence)
+    head = float(np.sum(ces.prefix**p))
+    if tail is None:
+        evidence["p_sum"] = head
+    elif ces.tail_exact:
+        evidence["p_sum"] = head + tail.schatten_sum(p, n)
+    else:
+        evidence["p_sum_prefix"] = head
+    return MembershipVerdict(IN, n, evidence)
 
 
 def max_envelope(lam: EigenSequence) -> ScalarSequence:

@@ -278,13 +278,11 @@ class PowerTail(_TailLaw):
         m = np.asarray(m, dtype=float)
         return self.c * m ** (-self.a)
 
-    @_batched
     def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
-        """#{m > start : value(m) >= x} per threshold (1-D); inf where x <= 0."""
-        live = ~(x <= 0)
-        bound = _map(lambda u: u ** (1.0 / self.a), self.c / np.where(live, x, 1.0))
-        count = np.maximum(_floor_index(bound) - start, 0)
-        return count if live.all() else np.where(live, count, math.inf)
+        """#{m > start : value(m) >= x} per threshold of a 1-D array of
+        positive thresholds (no scalar form, no x <= 0)."""
+        bound = _map(lambda u: u ** (1.0 / self.a), self.c / x)
+        return np.maximum(_floor_index(bound) - start, 0)
 
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)

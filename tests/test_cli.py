@@ -527,6 +527,66 @@ class TestWarningFreeProbes:
         return out
 
 
+_CAP_LINE = "numerical failure: tail breakpoint enumeration exceeded its cap"
+_POWER_15 = {"kind": "power", "c": 1, "a": 1.5}
+_POWER_3 = {"kind": "power", "c": 1, "a": 3}
+_GEOMETRIC = {"kind": "geometric", "c": 1, "q": 0.5}
+
+
+def _alternating(doc):
+    return {**doc, "alternating": True}
+
+
+class TestWeakLpLawCells:
+    """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
+
+    Condition (2) is one sort of the Cesàro prefix plus one batched tail
+    count, so each cell finishes in about a second.  The cells marked
+    `cap` get past condition (2) and stop at the witness scan's breakpoint
+    cap until the large-alpha regime is closed analytically; they keep that
+    exit-3 line until then."""
+
+    CELLS = [
+        (doc, f"weaklp:p={p}", code)
+        for doc, code in [
+            (_POWER_15, 0),
+            (_alternating(_POWER_15), 0),
+            (_POWER_3, 3),  # cap
+            (_alternating(_POWER_3), 3),  # cap
+            (_GEOMETRIC, 3),  # cap
+            (_alternating(_GEOMETRIC), 3),  # cap
+        ]
+        for p in (1, 2)
+    ] + [({"kind": "power", "c": 1, "a": 0.5}, "weaklp:p=2", 0)]
+
+    @pytest.mark.parametrize(
+        "doc, ideal, code",
+        CELLS,
+        ids=[
+            f"{d['kind']}-{d.get('a', d.get('q'))}{'-alt' if d.get('alternating') else ''}-{i}"
+            for d, i, _ in CELLS
+        ],
+    )
+    def test_finishes_within_budget(self, tmp_path, capsys, doc, ideal, code):
+        import time
+
+        start = time.perf_counter()
+        out = TestWarningFreeProbes._assert_quiet(
+            tmp_path, capsys, ["criterion", "--ideal", ideal], doc, code, _CAP_LINE if code else ""
+        )
+        assert time.perf_counter() - start < 3.0
+        if code == 0:
+            assert json.loads(out)["condition2"]["status"] == "In"
+
+    @pytest.mark.parametrize("ideal", ["schatten:p=1", "weaklp:p=1"])
+    def test_underflowing_partial_sum_limit_is_numerical(self, tmp_path, capsys, ideal):
+        # c * q / (1 - q) rounds to 0: a valid law whose limit cannot be
+        # represented, not a cancelling total with finite support
+        doc = {"kind": "geometric", "c": 5e-324, "q": 0.5}
+        line = "numerical failure: the partial-sum limit of the eigenvalue law underflows to 0"
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["criterion", "--ideal", ideal], doc, 3, line)
+
+
 # Runs `python -m comspect.cli <args>` in-process and reports, as the last
 # line of stderr, which numerics packages got imported and the value of
 # OPENBLAS_NUM_THREADS at numpy's first import.

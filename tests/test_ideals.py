@@ -17,7 +17,8 @@ from comspect.ideals import (
     max_envelope,
     membership,
 )
-from comspect.sequences import PowerTail, ScalarSequence
+from comspect.criterion import condition2
+from comspect.sequences import PowerTail, ScalarSequence, _floor_index, round_sig
 from comspect.spectral import EigenSequence
 
 
@@ -164,6 +165,137 @@ class TestCesaro:
         assert cesaro_membership(ces, IdealSpec.weak_lp(1)).status == "In"
         assert cesaro_membership(ces, IdealSpec.weak_lp(0.5)).status == "Out"
         assert cesaro_membership(ces, IdealSpec.schatten(1)).status == "Out"
+
+
+def _loop_cesaro_membership(ces, ideal):
+    """Membership of the Cesàro sequence with the weak-lp supremum taken one
+    candidate at a time (the former implementation, kept as the bit-for-bit
+    oracle): an O(n) count and a scalar tail count per distinct value."""
+
+    def tail_count_ge(tail, x, start):
+        if x <= 0:
+            return math.inf
+        bound = float(tail.c / x) ** (1.0 / tail.a)  # Python's pow, as _map took it
+        return max(int(_floor_index(np.array([bound]))[0]) - start, 0)
+
+    def weak_sup_multiset(prefix, tail, start, p):
+        if tail is not None and round_sig(tail.a * p) < 1:
+            return math.inf
+        cands = list(np.unique(prefix[prefix > 0]))
+        limit = 0.0
+        if tail is not None:
+            m = np.arange(start + 1, start + 2001, dtype=float)
+            cands.extend(np.unique(tail.value_at(m)))
+            if round_sig(tail.a * p) == 1:
+                limit = tail.c
+        sup = limit
+        for x in cands:
+            count = int(np.count_nonzero(prefix >= x))
+            if tail is not None:
+                count += tail_count_ge(tail, x, start)
+            sup = max(sup, x * count ** (1.0 / p))
+        return sup
+
+    n = int(ces.prefix.size)
+    evidence = {}
+    if ces.tail is not None:
+        evidence["tail_coefficient"] = ces.tail.c
+        evidence["tail_exponent"] = ces.tail.a
+    if n:
+        evidence["n_times_c_at_scale"] = float(ces.prefix[-1] * n)
+    if ces.log_tail_coefficient is not None:
+        evidence["log_tail_coefficient"] = ces.log_tail_coefficient
+        return "In" if ideal.p > 1 else "Out", n, evidence
+    if ces.tail is None:
+        if ideal.family == "schatten":
+            evidence["p_sum"] = float(np.sum(ces.prefix**ideal.p))
+        else:
+            evidence["weak_sup"] = weak_sup_multiset(ces.prefix, None, n, ideal.p)
+        return "In", n, evidence
+    tail = ces.tail
+    ap = round_sig(tail.a * ideal.p)
+    if ideal.family == "schatten":
+        if ap <= 1:
+            evidence["p_sum"] = math.inf
+            return "Out", n, evidence
+        if ces.tail_exact:
+            evidence["p_sum"] = float(np.sum(ces.prefix**ideal.p)) + tail.schatten_sum(ideal.p, n)
+        else:
+            evidence["p_sum_prefix"] = float(np.sum(ces.prefix**ideal.p))
+        return "In", n, evidence
+    if ap < 1:
+        evidence["weak_sup"] = math.inf
+        return "Out", n, evidence
+    sup = weak_sup_multiset(ces.prefix, tail, n, ideal.p)
+    evidence["weak_sup"] = sup
+    return ("In" if math.isfinite(sup) else "Out"), n, evidence
+
+
+def _bits(status, scale, evidence):
+    return status, scale, list(evidence), [float(v).hex() for v in evidence.values()]
+
+
+def _oracle_lists():
+    rng = np.random.default_rng(16)
+    for i in range(24):
+        n = int(rng.integers(1, 40))
+        if i % 3 == 0:
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        elif i % 3 == 1:
+            vals = np.round(rng.standard_normal(n) * 4) / 4  # real, with ties
+        else:
+            vals = rng.standard_normal(n)
+            vals = np.append(vals, -vals.sum())  # a cancelling closer
+        yield EigenSequence.from_values(vals * 10.0 ** rng.uniform(-30, 30))
+
+
+_ORACLE_LAWS = [
+    (EigenLaw("power", c, a=a, alternating=alt), n)
+    for c, a in [(1.0, 0.5), (2.0, 1.0), (1.0, 1.5), (0.5, 3.0), (1e-320, 3.0)]
+    for alt in (False, True)
+    for n in (1, 37)
+] + [
+    (EigenLaw("geometric", c, q=q, alternating=alt), n)
+    for c, q in [(1.0, 0.5), (3.0, 0.9)]
+    for alt in (False, True)
+    for n in (1, 37)
+] + [
+    (EigenLaw("power", 1.0, a=1.5), 3000),
+    (EigenLaw("power", 1.0, a=0.5, alternating=True), 3000),
+    (EigenLaw("geometric", 1.0, q=0.5, alternating=True), 3000),
+]
+
+
+class TestCesaroMembershipOracle:
+    """The sorted, batched weak-lp supremum and the single a*p rule against
+    the former per-candidate loop: status, scale, evidence keys in order and
+    every float's bits."""
+
+    P = (0.5, 1.0, 1.5, 2.0, 3.7)
+
+    def _check(self, ces):
+        for family in ("schatten", "weaklp"):
+            for p in self.P:
+                spec = IdealSpec(family, p)
+                with np.errstate(invalid="ignore"):  # the loop's 0 * inf for an underflowed tail value
+                    expected = _loop_cesaro_membership(ces, spec)
+                got = cesaro_membership(ces, spec)
+                assert _bits(got.status, got.scale, got.evidence) == _bits(*expected), (family, p)
+
+    def test_finite_lists(self):
+        for lam in _oracle_lists():
+            self._check(cesaro_sequence(lam))
+
+    @pytest.mark.parametrize("law, n", _ORACLE_LAWS)
+    def test_laws(self, law, n):
+        self._check(cesaro_sequence(law, n))
+
+    def test_underflowed_tail_window_is_quiet(self):
+        # every tail value of the 2,000-term window underflows to 0; the loop
+        # took 0 * inf there and leaked a RuntimeWarning
+        verdict = condition2(EigenLaw("power", 1e-320, a=3.0), IdealSpec.weak_lp(1))
+        assert verdict.status == "In"
+        assert verdict.evidence["weak_sup"] == float.fromhex("0x0.00000000012fbp-1022")
 
 
 class TestMaxEnvelope:
