@@ -527,16 +527,6 @@ class TestWarningFreeProbes:
         return out
 
 
-_CAP_LINE = "numerical failure: tail breakpoint enumeration exceeded its cap"
-_POWER_15 = {"kind": "power", "c": 1, "a": 1.5}
-_POWER_3 = {"kind": "power", "c": 1, "a": 3}
-_GEOMETRIC = {"kind": "geometric", "c": 1, "q": 0.5}
-
-
-def _alternating(doc):
-    return {**doc, "alternating": True}
-
-
 class TestWeakLpLawCells:
     """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
 
@@ -546,16 +536,15 @@ class TestWeakLpLawCells:
     cap until the large-alpha regime is closed analytically; they keep that
     exit-3 line until then."""
 
+    CAP_LINE = "numerical failure: tail breakpoint enumeration exceeded its cap"
     CELLS = [
         (doc, f"weaklp:p={p}", code)
-        for doc, code in [
-            (_POWER_15, 0),
-            (_alternating(_POWER_15), 0),
-            (_POWER_3, 3),  # cap
-            (_alternating(_POWER_3), 3),  # cap
-            (_GEOMETRIC, 3),  # cap
-            (_alternating(_GEOMETRIC), 3),  # cap
+        for law, code in [
+            ({"kind": "power", "c": 1, "a": 1.5}, 0),
+            ({"kind": "power", "c": 1, "a": 3}, 3),  # cap
+            ({"kind": "geometric", "c": 1, "q": 0.5}, 3),  # cap
         ]
+        for doc in (law, {**law, "alternating": True})
         for p in (1, 2)
     ] + [({"kind": "power", "c": 1, "a": 0.5}, "weaklp:p=2", 0)]
 
@@ -572,7 +561,7 @@ class TestWeakLpLawCells:
 
         start = time.perf_counter()
         out = TestWarningFreeProbes._assert_quiet(
-            tmp_path, capsys, ["criterion", "--ideal", ideal], doc, code, _CAP_LINE if code else ""
+            tmp_path, capsys, ["criterion", "--ideal", ideal], doc, code, self.CAP_LINE if code else ""
         )
         assert time.perf_counter() - start < 3.0
         if code == 0:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from comspect.criterion import condition2
 from comspect.ideals import (
     EigenLaw,
     IdealSpec,
@@ -17,7 +19,6 @@ from comspect.ideals import (
     max_envelope,
     membership,
 )
-from comspect.criterion import condition2
 from comspect.sequences import PowerTail, ScalarSequence, _floor_index, round_sig
 from comspect.spectral import EigenSequence
 
@@ -293,7 +294,9 @@ class TestCesaroMembershipOracle:
     def test_underflowed_tail_window_is_quiet(self):
         # every tail value of the 2,000-term window underflows to 0; the loop
         # took 0 * inf there and leaked a RuntimeWarning
-        verdict = condition2(EigenLaw("power", 1e-320, a=3.0), IdealSpec.weak_lp(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = condition2(EigenLaw("power", 1e-320, a=3.0), IdealSpec.weak_lp(1))
         assert verdict.status == "In"
         assert verdict.evidence["weak_sup"] == float.fromhex("0x0.00000000012fbp-1022")
 
