@@ -22,7 +22,7 @@ import numpy as np
 from .cutoffs import CutoffPair
 from .errors import NumericalError
 from .sequences import exceeds_scaled
-from .spectral import EigenSequence, eigenvalue_sequence, validate_matrix
+from .spectral import EigenSequence, eigenvalue_sequence, eigenvalue_stack, validate_matrix
 
 __all__ = [
     "nu",
@@ -65,18 +65,26 @@ def chi_phi(eig: EigenSequence, pair: CutoffPair) -> complex:
     return complex(np.sum(eig.values[live] * w))
 
 
+def _require_radius(delta) -> None:
+    if delta is None or not delta > 0:
+        raise ValueError("f must declare a positive vanishing radius delta")
+
+
 def f_hat(eig: EigenSequence, f, delta: float):
     """Sum of f(lambda_n) over eigenvalues with |lambda_n| > delta.
 
     ``delta`` declares the radius on which f vanishes; it must be positive
     (this both documents the hypothesis and keeps log-based f away from 0).
     """
-    if delta is None or not delta > 0:
-        raise ValueError("f must declare a positive vanishing radius delta")
+    _require_radius(delta)
     vals = eig.values[eig.moduli > delta]
     if vals.size == 0:
         return 0.0
     return float(np.sum(f(vals)))
+
+
+# nodes per stacked eigensolve: memory is O(_NODE_BLOCK * n^2) at any node count
+_NODE_BLOCK = 512
 
 
 def circle_mean(s, t, f, nodes: int = 512, delta: float = 1.0) -> float:
@@ -86,17 +94,45 @@ def circle_mean(s, t, f, nodes: int = 512, delta: float = 1.0) -> float:
     2*pi-periodic integrands, spectrally accurate where the integrand is
     smooth).  Node values are accumulated with math.fsum in node order, so
     the result does not depend on evaluation scheduling.
+
+    The nodes are evaluated in blocks of _NODE_BLOCK: one stacked eigensolve
+    per block, and one call of f on the block's values of modulus > delta,
+    pooled from many nodes in (node, canonical) order.  So f must act
+    elementwise, as h, g and the Huber log do; each node's value is then the
+    f_hat of that node, bit for bit.
     """
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     s = validate_matrix(s)
     t = validate_matrix(t)
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    vals = [
-        f_hat(eigenvalue_sequence(s + np.exp(1j * th) * t), f, delta)
-        for th in thetas
-    ]
+    vals = []
+    for start in range(0, nodes, _NODE_BLOCK):
+        vals += _block_f_hat(s, t, thetas[start : start + _NODE_BLOCK], f, delta)
     return math.fsum(vals) / nodes
+
+
+def _block_f_hat(s, t, thetas, f, delta) -> list[float]:
+    """f_hat at the nodes S + e^{i theta} T of one block of angles.
+
+    A block with a non-finite node matrix, a failed solve or non-finite
+    eigenvalues is redone node by node, so the first failing node raises
+    what eigenvalue_sequence raises there.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = s + np.exp(1j * thetas)[:, None, None] * t
+        values = eigenvalue_stack(mats)
+    except (ValueError, NumericalError):
+        return [f_hat(eigenvalue_sequence(s + np.exp(1j * th) * t), f, delta) for th in thetas]
+    _require_radius(delta)
+    live = np.abs(values) > delta
+    if not live.any():
+        return [0.0] * thetas.size
+    fv = f(values[live])
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    # np.add.reduce is np.sum of a 1-D slice without its Python wrapper
+    return [float(np.add.reduce(fv[a:b])) if b > a else 0.0 for a, b in zip([0, *ends[:-1]], ends)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ from .sequences import (
     PowerTail,
     ScalarSequence,
     _map,
+    finite_power_sum,
     log_factorials,
+    prefix_power_sum,
     round_sig,
 )
 from .spectral import EigenSequence
@@ -268,13 +270,12 @@ def cesaro_membership(ces: CesaroSequence, ideal: IdealSpec) -> MembershipVerdic
     if ap <= 1:
         evidence["p_sum"] = math.inf
         return MembershipVerdict(OUT, n, evidence)
-    head = float(np.sum(ces.prefix**p))
-    if tail is None:
-        evidence["p_sum"] = head
-    elif ces.tail_exact:
-        evidence["p_sum"] = head + tail.schatten_sum(p, n)
+    if tail is not None and ces.tail_exact:
+        # the tail first: one past the float range raises before the head warns
+        tail_sum = tail.schatten_sum(p, n)
+        evidence["p_sum"] = finite_power_sum(prefix_power_sum(ces.prefix, p) + tail_sum)
     else:
-        evidence["p_sum_prefix"] = head
+        evidence["p_sum" if tail is None else "p_sum_prefix"] = float(np.sum(ces.prefix**p))
     return MembershipVerdict(IN, n, evidence)
 
 

@@ -255,6 +255,30 @@ def _floor_index(v: np.ndarray) -> np.ndarray:
     return np.array([math.floor(u) for u in lifted.tolist()], dtype=object)
 
 
+def finite_power_sum(total: float) -> float:
+    """A convergent p-th power sum, or NumericalError when its float
+    evaluation passed the float range (a divergent sum is math.inf, and
+    never reaches this check)."""
+    if not math.isfinite(total):
+        raise NumericalError("the p-th power sum of a sequence overflows the float range")
+    return total
+
+
+def prefix_power_sum(values: np.ndarray, p: float) -> float:
+    """np.sum(values**p) over a finite prefix, through finite_power_sum."""
+    with np.errstate(over="ignore"):
+        return finite_power_sum(float(np.sum(values**p)))
+
+
+def _pow(x: float, y: float) -> float:
+    """x**y with Python's float pow, but inf where that raises OverflowError
+    (numpy's pow gives inf there), for the sums finite_power_sum checks."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 class _TailLaw:
     """What the tail laws share: contiguous positions in one array."""
 
@@ -288,7 +312,7 @@ class PowerTail(_TailLaw):
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
-        return self.c**p * hurwitz_zeta(self.a * p, start + 1)
+        return finite_power_sum(_pow(self.c, p) * hurwitz_zeta(self.a * p, start + 1))
 
     def weak_sup(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -329,7 +353,7 @@ class GeometricTail(_TailLaw):
 
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
-        return self.c**p * qp ** (start + 1) / (1 - qp)
+        return finite_power_sum(_pow(self.c, p) * qp ** (start + 1) / (1 - qp))
 
     def weak_sup(self, p: float, start: int) -> float:
         # maximize m^(1/p) * c * q^m over integer m > start
@@ -369,9 +393,9 @@ class FactorialPowerTail(_TailLaw):
         if ap <= 1:
             return math.inf
         # value <= c * (e/m)^a, so bound via the Hurwitz zeta of the majorant
-        head = float(np.sum(self.value_range(start, start + 100000) ** p))
-        tail = (self.c * math.e**self.a) ** p * hurwitz_zeta(self.a * p, start + 100001)
-        return head + tail
+        head = prefix_power_sum(self.value_range(start, start + 100000), p)
+        tail = _pow(self.c * _pow(math.e, self.a), p) * hurwitz_zeta(self.a * p, start + 100001)
+        return finite_power_sum(head + tail)
 
     def weak_sup(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -560,10 +584,13 @@ class ScalarSequence:
         return np.array(sums, dtype=float)
 
     def schatten_sum(self, p: float) -> float:
-        s = float(np.sum(self.prefix**p))
-        if self.tail is not None:
-            s += self.tail.schatten_sum(p, self.prefix.size)
-        return self.repeat * s
+        """sum of value(n)**p over the whole sequence: math.inf when the tail's
+        sum diverges, NumericalError when a convergent one passes the float
+        range."""
+        tail = 0.0 if self.tail is None else self.tail.schatten_sum(p, self.prefix.size)
+        if tail == math.inf:
+            return math.inf
+        return finite_power_sum(self.repeat * (prefix_power_sum(self.prefix, p) + tail))
 
     def weak_sup(self, p: float) -> float:
         """sup_n n^(1/p) * value(n) over the whole sequence."""

@@ -24,6 +24,7 @@ __all__ = [
     "matrix_fingerprint",
     "validate_matrix",
     "eigenvalue_sequence",
+    "eigenvalue_stack",
     "singular_sequence",
     "hermitian_split",
 ]
@@ -45,9 +46,13 @@ def validate_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    _require_finite_entries(arr)
+    return arr
+
+
+def _require_finite_entries(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
-    return arr
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -58,12 +63,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _canonical_order(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Indices sorting eigenvalues, with rounded moduli ``mod``, by the
-    deterministic convention."""
+    """Indices sorting eigenvalues along the last axis, with rounded moduli
+    ``mod``, by the deterministic convention."""
     arg = np.angle(values)
     arg = np.where(arg < 0, arg + 2 * np.pi, arg)
     # lexsort: last key is primary
-    return np.lexsort((-values.real, arg, -mod))
+    return np.lexsort((-values.real, arg, -mod), axis=-1)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -147,15 +152,33 @@ class EigenSequence:
         return EigenSequence(self.values * alpha)
 
 
-def eigenvalue_sequence(m) -> EigenSequence:
-    """Eigenvalues of a dense complex matrix, canonical order, multiplicities included."""
-    arr = validate_matrix(m)
+def _eigvals(arr: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a finite matrix or stack, its failures as NumericalError."""
     try:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
     _require_finite(vals, "eigenvalues")
-    return EigenSequence.from_values(vals)
+    return vals
+
+
+def eigenvalue_sequence(m) -> EigenSequence:
+    """Eigenvalues of a dense complex matrix, canonical order, multiplicities included."""
+    return EigenSequence.from_values(_eigvals(validate_matrix(m)))
+
+
+def eigenvalue_stack(stack) -> np.ndarray:
+    """Eigenvalues of a (k, n, n) stack of finite complex matrices as a (k, n)
+    array, each row in canonical order: row i is
+    ``eigenvalue_sequence(stack[i]).values`` bit for bit, from one batched
+    LAPACK call and one rounding of the moduli."""
+    arr = np.asarray(stack, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
+    _require_finite_entries(arr)
+    vals = _eigvals(arr)
+    order = _canonical_order(vals, round_sig(np.abs(vals)))
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def singular_sequence(m) -> ScalarSequence:

@@ -19,7 +19,7 @@ from comspect.cutoffs import eval_g, eval_h, laplacian_grid_check
 from comspect.functionals import circle_mean, derived_c2, f_hat
 from comspect.ideals import EigenLaw, IdealSpec, cesaro_sequence, check_geometric_stability
 from comspect.sequences import ScalarSequence
-from comspect.spectral import eigenvalue_sequence
+from comspect.spectral import eigenvalue_sequence, eigenvalue_stack
 from comspect.verify import SuiteConfig, gen_matrix, run_suite
 
 PKG_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,7 +69,27 @@ def test_acceptance_3_subharmonicity_grid(pair):
 
 
 def _circle_sweep(s, t, nodes, fns):
-    """Eigenvalue sweep over the theta circle; returns per-f node values."""
+    """Eigenvalue sweep over the theta circle, one stacked eigensolve and
+    one call of each f; returns per-f node values and the smoothness flag."""
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = eigenvalue_stack(s + np.exp(1j * thetas)[:, None, None] * t)
+    mods = np.abs(vals)
+    # smooth: no modulus near the kink of phi at e^(1/2), no two eigenvalues close
+    smooth = not np.any(np.abs(mods - math.sqrt(math.e)) < 0.05)
+    if vals.shape[1] > 1:
+        i, j = np.triu_indices(vals.shape[1], 1)
+        smooth = smooth and np.min(np.abs(vals[:, i] - vals[:, j])) >= 0.02
+    live = mods > 1.0
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    values = []
+    for f in fns:
+        fv = f(vals[live]) if live.any() else None
+        values.append([float(np.sum(fv[a:b])) if b > a else 0.0 for a, b in zip([0, *ends[:-1]], ends)])
+    return values, smooth
+
+
+def _loop_circle_sweep(s, t, nodes, fns):
+    """The former sweep, one eigensolve per node: the oracle of _circle_sweep."""
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     values = [[] for _ in fns]
     smooth = True
@@ -103,6 +123,12 @@ def test_acceptance_4_circle_mean_submean(pair):
         if rng.random() < 0.5:
             s = s * math.exp(rng.uniform(-1.5, 1.5))
         node_values, smooth = _circle_sweep(s, t, 1024, fns)
+        if trial < 3:  # the stacked sweep repeats the per-node one bit for bit
+            loop_values, loop_smooth = _loop_circle_sweep(s, t, 1024, fns)
+            assert smooth == loop_smooth
+            assert [[v.hex() for v in vs] for vs in node_values] == [
+                [v.hex() for v in vs] for vs in loop_values
+            ]
         for name, f, vals in zip(names, fns, node_values):
             mean_1024 = math.fsum(vals) / 1024
             mean_512 = math.fsum(vals[::2]) / 512

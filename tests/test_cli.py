@@ -527,6 +527,26 @@ class TestWarningFreeProbes:
         return out
 
 
+class TestOverflowingPowerSums:
+    """A p-th power sum past the float range is a numerical failure (exit 3),
+    not an OverflowError traceback or an inf read as divergence."""
+
+    LINE = "numerical failure: the p-th power sum of a sequence overflows the float range"
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("criterion", {"kind": "finite", "values": [1e300]}),
+            ("stability", {"kind": "geometric", "c": 1e300, "q": 0.5}),
+            ("stability", {"kind": "power", "c": 1e300, "a": 2}),
+            ("stability", {"kind": "finite", "values": [1e300]}),  # was an Out verdict
+        ],
+        ids=["criterion-finite", "stability-geometric", "stability-power", "stability-finite"],
+    )
+    def test_exits_three(self, tmp_path, capsys, command, doc):
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, [command, "--ideal", "schatten:p=2"], doc, 3, self.LINE)
+
+
 class TestWeakLpLawCells:
     """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
 
@@ -750,6 +770,11 @@ class TestDeterminism:
         s_one = _run(["spectrum", "-i", diag_matrix], {"COMSPECT_THREADS": "1"})
         s_four = _run(["spectrum", "-i", diag_matrix], {"COMSPECT_THREADS": "4"})
         assert s_one.stdout == s_four.stdout
+        # circle means: one stacked LAPACK call per block of nodes
+        circle = ["verify", "--suite", "lemma2_1_3", "--trials", "3", "--seed", "1"]
+        c_one = _run(circle, {"COMSPECT_THREADS": "1"})
+        c_four = _run(circle, {"COMSPECT_THREADS": "4"})
+        assert c_one.returncode == 0 and c_one.stdout == c_four.stdout
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

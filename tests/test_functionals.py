@@ -22,7 +22,9 @@ from comspect.spectral import (
     eigenvalue_sequence,
     hermitian_split,
     singular_sequence,
+    validate_matrix,
 )
+from comspect.verify import _huber_log, gen_matrix
 
 
 def _eig(values):
@@ -148,6 +150,84 @@ class TestCircleMean:
     def test_rejects_few_nodes(self, pair):
         with pytest.raises(ValueError):
             circle_mean(np.eye(2), np.eye(2), lambda z: eval_h(pair, z), nodes=4)
+
+
+def _loop_circle_mean(s, t, f, nodes=512, delta=1.0):
+    """The former circle_mean: one eigensolve and one f_hat call per node."""
+    if nodes < 8:
+        raise ValueError("need at least 8 quadrature nodes")
+    s = validate_matrix(s)
+    t = validate_matrix(t)
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
+    vals = [f_hat(eigenvalue_sequence(s + np.exp(1j * th) * t), f, delta) for th in thetas]
+    return math.fsum(vals) / nodes
+
+
+class TestStackedCircleMean:
+    """circle_mean solves a block of nodes at once and calls f once per
+    block; the per-node loop is its bit-for-bit oracle."""
+
+    KINDS = ("general", "scaled", "hermitian", "normal-diagonal", "nilpotent", "jordan")
+    NODES = (8, 512, 1024, 513)  # 513 is one past the edge of a 512-node block
+
+    def _fns(self, pair):
+        return (lambda z: eval_h(pair, z), lambda z: eval_g(pair, z), _huber_log)
+
+    def test_matches_the_loop_on_every_kind(self, pair):
+        fns = self._fns(pair)
+        rng = np.random.default_rng(17)
+        checked = 0
+        for i, (ks, kt) in enumerate((ks, kt) for ks in self.KINDS for kt in self.KINDS):
+            dim = 1 + i % 6
+            s = gen_matrix(ks, dim, rng) * math.exp(rng.uniform(-1.0, 1.0))
+            t = np.zeros((dim, dim)) if i % 5 == 0 else gen_matrix(kt, dim, rng)
+            f, nodes = fns[i % 3], self.NODES[i % 4]
+            want = _loop_circle_mean(s, t, f, nodes)
+            assert circle_mean(s, t, f, nodes).hex() == want.hex(), (ks, kt, dim, nodes)
+            checked += want != 0.0
+        assert checked >= 24  # most circles cross the threshold somewhere
+
+    @pytest.mark.parametrize("nodes", NODES)
+    def test_every_f_and_node_count_on_ties(self, pair, nodes):
+        # jordan and nilpotent blocks have one eigenvalue of full multiplicity,
+        # so the stacked rows tie in modulus at every node
+        rng = np.random.default_rng(nodes)
+        for f in self._fns(pair):
+            for dim in (1, 3, 6):
+                s = gen_matrix("jordan", dim, rng) * 1.5
+                t = gen_matrix("nilpotent", dim, rng)
+                assert circle_mean(s, t, f, nodes).hex() == _loop_circle_mean(s, t, f, nodes).hex()
+
+    def test_no_live_value_at_any_node(self, pair):
+        rng = np.random.default_rng(3)
+        s = gen_matrix("general", 4, rng) * 0.05
+        t = gen_matrix("general", 4, rng) * 0.05
+        for f in self._fns(pair):
+            assert circle_mean(s, t, f, 1024) == _loop_circle_mean(s, t, f, 1024) == 0.0
+
+    @pytest.mark.parametrize(
+        "s, t, nodes",
+        [
+            (np.full((2, 2), 1e308), np.full((2, 2), 1e308), 16),  # node 0 overflows
+            (np.full((1, 1), 1e308), np.full((1, 1), 1e308j), 1024),  # node 621, in block 2, fails
+            (np.full((2, 2), 1e308), np.zeros((2, 2)), 16),  # finite nodes, eigenvalues overflow
+        ],
+        ids=["node-0", "second-block", "eigenvalues"],
+    )
+    @pytest.mark.parametrize("quiet", [True, False], ids=["errstate", "warnings-as-errors"])
+    def test_failing_node_raises_what_the_loop_raises(self, pair, s, t, nodes, quiet):
+        f = lambda z: eval_h(pair, z)
+        caught = []
+        for mean in (_loop_circle_mean, circle_mean):
+            with np.errstate(over="ignore" if quiet else "warn", invalid="ignore" if quiet else "warn"):
+                with pytest.raises(Exception) as info:
+                    mean(s, t, f, nodes)
+            caught.append((type(info.value), str(info.value)))
+        assert caught[0] == caught[1]
+
+    def test_radius_is_checked(self, pair):
+        with pytest.raises(ValueError, match="positive vanishing radius"):
+            circle_mean(np.eye(2) * 2, np.eye(2), lambda z: eval_h(pair, z), nodes=8, delta=0.0)
 
 
 class TestLemmaInequalities:

@@ -173,6 +173,24 @@ class TestAggregates:
     def test_schatten_divergence(self):
         assert math.isinf(ScalarSequence.power_law(1.0, 1.0).schatten_sum(1.0))
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            ScalarSequence.power_law(1e300, 2.0),  # c**p raises OverflowError
+            ScalarSequence.power_law(1.3e154, 0.6),  # c**p is finite, c**p * zeta(1.2) is not
+            ScalarSequence.geometric_law(1e300, 0.5),
+            ScalarSequence(np.array([1e300])),  # the prefix sum
+            ScalarSequence(np.empty(0), FactorialPowerTail(1.0, 800.0)),  # the majorant c * e^a
+        ],
+        ids=["power", "power-product", "geometric", "prefix", "factorial-power"],
+    )
+    def test_schatten_sum_past_the_float_range_is_numerical(self, seq):
+        with pytest.raises(NumericalError, match="p-th power sum of a sequence overflows"):
+            seq.schatten_sum(2.0)
+
+    def test_schatten_divergence_wins_over_overflow(self):
+        assert ScalarSequence(np.array([1e300]), PowerTail(1e300, 0.5)).schatten_sum(2.0) == math.inf
+
     def test_weak_sup_power_boundary(self):
         s = ScalarSequence.power_law(1.0, 0.5)
         assert s.weak_sup(2.0) == pytest.approx(1.0)

@@ -5,9 +5,11 @@ from scipy.linalg import block_diag
 from comspect.spectral import (
     EigenSequence,
     eigenvalue_sequence,
+    eigenvalue_stack,
     hermitian_split,
     singular_sequence,
 )
+from comspect.verify import gen_matrix
 
 
 def _random_matrix(rng, n):
@@ -60,6 +62,53 @@ class TestEigenvalueSequence:
     def test_moduli_nonincreasing_enforced(self):
         with pytest.raises(ValueError):
             EigenSequence(np.array([1.0, 2.0], dtype=complex))
+
+
+class TestEigenvalueStack:
+    KINDS = ("general", "scaled", "hermitian", "normal-diagonal", "nilpotent", "jordan")
+
+    @staticmethod
+    def _assert_rows_match(stack):
+        rows = eigenvalue_stack(stack)
+        assert rows.shape == stack.shape[:2] and rows.dtype == np.complex128
+        for m, row in zip(stack, rows):
+            assert row.tobytes() == eigenvalue_sequence(m).values.tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_rows_are_the_sequences_bit_for_bit(self, dim):
+        # 6 kinds x 60 matrices per dimension: 2,160 matrices in all; jordan and
+        # nilpotent blocks tie every modulus
+        rng = np.random.default_rng(dim)
+        for kind in self.KINDS:
+            stack = np.array([gen_matrix(kind, dim, rng) for _ in range(60)])
+            self._assert_rows_match(stack)
+
+    def test_modulus_ties_broken_by_argument_then_real_part(self):
+        diags = [
+            [2.0, -2.0, 2j, -2j, 1.0],
+            [1.0, 1.0j, -1.0, -1.0j, 0.0],
+            [1.0, 1.0 + 1e-13, 1.0 - 1e-13, -1.0, 1.0],  # equal after 12-digit rounding
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [3.0, 3.0, 3.0, -3.0, 3j],
+        ]
+        rng = np.random.default_rng(5)
+        stack = np.array([np.diag([d[p] for p in rng.permutation(5)]) for d in diags * 4]).astype(complex)
+        self._assert_rows_match(stack)
+        assert np.array_equal(eigenvalue_stack(stack[:1])[0], [2.0, 2j, -2.0, -2j, 1.0])
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            eigenvalue_stack(np.eye(3))
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            eigenvalue_stack(np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            eigenvalue_stack(np.array([np.eye(2), np.diag([1.0, np.inf])]))
+
+    def test_overflowing_eigenvalues_are_numerical(self):
+        from comspect.errors import NumericalError
+
+        with pytest.raises(NumericalError, match="eigenvalues of a finite matrix overflowed"):
+            eigenvalue_stack(np.array([np.eye(2), np.full((2, 2), 1e308)]))
 
 
 class TestSingularSequence:
