@@ -14,6 +14,7 @@ of its prefix plus one batched tail count: O(n log n) in the prefix length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .sequences import (
+    _BLOCK,
     DERIVED_SLACK,
     FactorialPowerTail,
     GeometricTail,
@@ -211,7 +213,8 @@ def cesaro_sequence(lam, prefix_length: int = 10**6) -> CesaroSequence:
         vals = lam.prefix_values(prefix_length)
         prefix = np.cumsum(vals, out=vals)  # in place, like abs and the divide
         np.abs(prefix, out=prefix)
-        prefix /= np.arange(1, prefix_length + 1, dtype=float)
+        for b in range(0, prefix_length, _BLOCK):  # the positions a block at a time
+            prefix[b : b + _BLOCK] /= np.arange(b + 1, min(b + _BLOCK, prefix_length) + 1, dtype=float)
         if limit is not None:
             return CesaroSequence(prefix, PowerTail(abs(limit), 1.0), False)
         # positive power law with a <= 1: partial sums diverge
@@ -334,27 +337,50 @@ def dyadic_series_envelope(
     closed-form geometric tail.  Returns the first ``length`` values.
 
     ``s`` is evaluated once, over positions 1..length (plus s_1 for the
-    tail): level k adds its weighted head entries, each repeated 2^k times,
-    and the tail term is constant on each dyadic block [2^(j-1), 2^j).  The
-    levels are summed in order k = 0, 1, ..., then the tail, so the floats
-    equal those of one ``s.value`` call per level.
+    tail).  Level k adds 2^(-theta k) times head entry j to the 2^k positions
+    that take it, broadcast over a (rows, 2^k) view of the output; it stops
+    past the last nonzero head entry, beyond which it would add +0.0.  The
+    tail term is constant on each dyadic block [2^(j-1), 2^j).  The levels
+    are summed in order k = 0, 1, ..., then the tail, so the floats equal
+    those of one ``s.value`` call per level.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     head = s.head(length)
+    # one past the last nonzero entry (a stored prefix may rise by STORED_SLACK after a zero)
+    live = length - int(np.argmax(head[::-1] != 0)) if length else 0
     out = np.zeros(length, dtype=float)
     k = 0
     while (1 << k) <= length:
         step = 1 << k
-        # positions n >= step take entry ceil(n/step) = head[(n-1) // step]
-        out[step - 1 :] += np.repeat(2.0 ** (-theta * k) * head[: -(-length // step)], step)[step - 1 : length]
+        w = 2.0 ** (-theta * k)
+        # position n >= step takes entry ceil(n/step): 0-based, out[i] gets head[i // step]
+        end = min(length, live * step)
+        rows = end // step
+        out[step - 1] += w * head[0]  # the first block from n = step on
+        whole = out[step : rows * step].reshape(rows - 1, step)  # blocks 1..rows-1, a view
+        # under 8 columns the add runs faster down the rows (order F)
+        np.add(whole, (w * head[1:rows])[:, None], out=whole, order="F" if step < 8 else "K")
+        if rows * step < end:
+            out[rows * step : end] += w * head[rows]
         k += 1
     s1 = float(s.value(1))
     # tail: first k with 2^k > n is floor(log2 n) + 1 = j on the block [2^(j-1), 2^j)
-    k0 = np.arange(1, k + 1, dtype=np.int64)
-    block = s1 * 2.0 ** (-theta * k0.astype(float)) / (1.0 - 2.0**-theta)
-    out += np.repeat(block, 1 << (k0 - 1))[:length]
+    k0 = np.arange(1, k + 1, dtype=float)
+    block = s1 * 2.0 ** (-theta * k0) / (1.0 - 2.0**-theta)
+    for j, value in enumerate(block.tolist()):
+        out[(1 << j) - 1 : (2 << j) - 1] += value
     return ScalarSequence(out)
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_factor(theta: float, n_max: int) -> np.ndarray:
+    """2^theta n^theta (n!)^(-theta/n) for n = 1..n_max, read-only: it
+    depends on theta = 2/min(p, 1) and n_max alone, so each pair is built once."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    factor = np.exp(theta * (math.log(2.0) + np.log(n) - log_factorials(n_max) / n))
+    factor.flags.writeable = False
+    return factor
 
 
 @dataclass(frozen=True)
@@ -385,18 +411,18 @@ def check_geometric_stability(
     """
     verdict_in = membership(s, ideal)
     t = geometric_mean_seq(s)
+    t_vals = t.head(n_max)  # before membership, which then reuses a power law's means
     verdict_t = membership(t, ideal)
     theta = 2.0 / ideal.quasi_norm_exponent
-    u = dyadic_series_envelope(s, theta, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    t_vals = t.head(n_max)
-    u_vals = u.prefix
+    u_vals = dyadic_series_envelope(s, theta, n_max).prefix
     ratio = np.divide(t_vals, u_vals, out=np.zeros_like(t_vals), where=u_vals > 0)
     empirical = float(np.max(ratio)) if n_max else 0.0
     # the displayed comparison t_n <= 2^theta n^theta (n!)^(-theta/n) u_n
-    factor = np.exp(theta * (math.log(2.0) + np.log(n) - log_factorials(n_max) / n))
-    margin = t_vals - factor * u_vals
-    worst = float(np.max(margin / (1.0 + factor * u_vals)))
+    bound = _chain_factor(theta, n_max) * u_vals
+    margin = t_vals - bound
+    bound += 1.0
+    margin /= bound
+    worst = float(np.max(margin))
     proof_c = (2.0 * math.e) ** theta
     return StabilityReport(
         input_verdict=verdict_in,

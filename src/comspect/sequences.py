@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,9 +205,22 @@ def log_factorials(n: int) -> np.ndarray:
     return _log_factorials[1 : n + 1]
 
 
+_BLOCK = 1 << 16  # elements per block of the passes over long arrays, which bounds their temporaries
+
+
 def round_sig(x):
-    """Round to ROUND_DIGITS significant decimal digits (elementwise, monotone)."""
+    """Round to ROUND_DIGITS significant decimal digits (elementwise, monotone).
+
+    Arrays longer than _BLOCK go through in blocks.  The pre-scale branch is
+    then chosen per block, which keeps the bits: its factor 1.0 is exact.
+    """
     arr = np.asarray(x, dtype=float)
+    if arr.size > _BLOCK:
+        flat = arr.reshape(-1)
+        out = np.empty_like(flat)
+        for b in range(0, flat.size, _BLOCK):
+            out[b : b + _BLOCK] = round_sig(flat[b : b + _BLOCK])
+        return out.reshape(arr.shape)
     out = arr.copy()
     nz = (arr != 0) & np.isfinite(arr)
     if np.any(nz):
@@ -236,8 +249,14 @@ def _batched(query):
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:
-    """fn applied to the elements of a 1-D array as Python scalars."""
-    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+    """fn applied to the elements of a 1-D array as Python scalars, through
+    one list of at most _BLOCK of them at a time."""
+    if values.size <= _BLOCK:
+        return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+    out = np.empty(values.size)
+    for b in range(0, values.size, _BLOCK):
+        out[b : b + _BLOCK] = _map(fn, values[b : b + _BLOCK])
+    return out
 
 
 def _floor_index(v: np.ndarray) -> np.ndarray:
@@ -279,16 +298,8 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-class _TailLaw:
-    """What the tail laws share: contiguous positions in one array."""
-
-    def value_range(self, start: int, stop: int) -> np.ndarray:
-        """value(m) for the positions m = start+1..stop."""
-        return self.value_at(np.arange(start + 1, stop + 1, dtype=float))
-
-
 @dataclass(frozen=True)
-class PowerTail(_TailLaw):
+class PowerTail:
     """Tail law value(m) = c * m**(-a) for positions m beyond the prefix."""
 
     c: float
@@ -301,6 +312,13 @@ class PowerTail(_TailLaw):
     def value_at(self, m):
         m = np.asarray(m, dtype=float)
         return self.c * m ** (-self.a)
+
+    def value_range(self, start: int, stop: int) -> np.ndarray:
+        """value_at over m = start+1..stop, computed in the positions' own buffer."""
+        m = np.arange(start + 1, stop + 1, dtype=float)
+        m **= -self.a
+        m *= self.c
+        return m
 
     def count_ge(self, x: np.ndarray, start: int) -> np.ndarray:
         """#{m > start : value(m) >= x} per threshold of a 1-D array of
@@ -325,7 +343,7 @@ class PowerTail(_TailLaw):
 
 
 @dataclass(frozen=True)
-class GeometricTail(_TailLaw):
+class GeometricTail:
     """Tail law value(m) = c * q**m with 0 < q < 1."""
 
     c: float
@@ -348,8 +366,20 @@ class GeometricTail(_TailLaw):
         10**5 positions), and every value keeps its bits.
         """
         m = np.asarray(m, dtype=float)
-        cut = 1100.0 / -math.log2(self.q)
-        return self.c * np.power(self.q, m, out=np.zeros(m.shape), where=m <= cut)
+        return self.c * np.power(self.q, m, out=np.zeros(m.shape), where=m <= self._cut())
+
+    def _cut(self) -> float:
+        return 1100.0 / -math.log2(self.q)
+
+    def value_range(self, start: int, stop: int) -> np.ndarray:
+        """value_at over m = start+1..stop, computed in the positions' own
+        buffer: pow up to the cut, +0 past it, then the factor c."""
+        m = np.arange(start + 1, stop + 1, dtype=float)
+        k = int(np.searchsorted(m, self._cut(), side="right"))  # m <= cut on m[:k]
+        np.power(self.q, m[:k], out=m[:k])
+        m[k:] = 0.0
+        m *= self.c
+        return m
 
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
@@ -363,7 +393,7 @@ class GeometricTail(_TailLaw):
 
 
 @dataclass(frozen=True)
-class FactorialPowerTail(_TailLaw):
+class FactorialPowerTail:
     """Tail law value(m) = c * (m!)**(-a/m), the running geometric mean of c*n^-a.
 
     Sandwiched between c*m^-a and c*(e/m)^a, so ideal membership matches the
@@ -373,6 +403,7 @@ class FactorialPowerTail(_TailLaw):
 
     c: float
     a: float
+    _last_range: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.c > 0 and self.a > 0):
@@ -384,9 +415,21 @@ class FactorialPowerTail(_TailLaw):
 
     def value_range(self, start: int, stop: int) -> np.ndarray:
         """value_at over m = start+1..stop, with log(m!) from the shared
-        log_factorials(stop) array: the same floats, no second gammaln pass."""
+        log_factorials(stop) array: the same floats, no second gammaln pass.
+
+        The result is read-only, and the instance keeps the last one: a call
+        inside that range is a slice of it, so a stability check computes its
+        geometric means once for the head and the membership sums.
+        """
+        if self._last_range:
+            lo, hi, vals = self._last_range
+            if lo <= start and stop <= hi:
+                return vals[start - lo : stop - lo]
         m = np.arange(start + 1, stop + 1, dtype=float)
-        return self.c * np.exp(-self.a * log_factorials(stop)[start:] / m)
+        vals = self.c * np.exp(-self.a * log_factorials(stop)[start:] / m)
+        vals.flags.writeable = False
+        self._last_range[:] = (start, stop, vals)
+        return vals
 
     def schatten_sum(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -394,7 +437,12 @@ class FactorialPowerTail(_TailLaw):
             return math.inf
         # value <= c * (e/m)^a, so bound via the Hurwitz zeta of the majorant
         head = prefix_power_sum(self.value_range(start, start + 100000), p)
-        tail = _pow(self.c * _pow(math.e, self.a), p) * hurwitz_zeta(self.a * p, start + 100001)
+        n, s = start + 100001, self.a * p
+        lead = _pow(self.c * _pow(math.e, self.a), p)
+        if math.isfinite(lead):
+            tail = lead * hurwitz_zeta(s, n)
+        else:  # e^a past the float range: zeta(s, n) <= n^-s (1 + n/(s-1)), multiplied in logs
+            tail = _pow(math.e, p * (math.log(self.c) + self.a) - s * math.log(n) + math.log1p(n / (s - 1)))
         return finite_power_sum(head + tail)
 
     def weak_sup(self, p: float, start: int) -> float:

@@ -547,6 +547,20 @@ class TestOverflowingPowerSums:
         TestWarningFreeProbes._assert_quiet(tmp_path, capsys, [command, "--ideal", "schatten:p=2"], doc, 3, self.LINE)
 
 
+class TestFactorialMajorantOverflow:
+    """stability of a power law with a > ~709: e^a in the majorant of the
+    geometric means' tail passes the float range, while their p-th power sum
+    is about 1.  The tail bound is then taken in logs."""
+
+    @pytest.mark.parametrize("ideal", ["schatten:p=0.5", "schatten:p=2", "weaklp:p=2"])
+    def test_gets_a_verdict(self, tmp_path, capsys, ideal):
+        doc = {"kind": "power", "c": 1, "a": 800}
+        out = TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", ideal], doc, 0, "")
+        report = json.loads(out)
+        assert report["inputVerdict"]["status"] == report["meanVerdict"]["status"] == "In"
+        assert report["chainHolds"]
+
+
 class TestWeakLpLawCells:
     """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from comspect.criterion import condition2
 from comspect.ideals import (
     EigenLaw,
     IdealSpec,
+    _chain_factor,
     cesaro_membership,
     cesaro_sequence,
     check_geometric_stability,
@@ -19,7 +23,7 @@ from comspect.ideals import (
     max_envelope,
     membership,
 )
-from comspect.sequences import PowerTail, ScalarSequence, _floor_index, round_sig
+from comspect.sequences import DERIVED_SLACK, PowerTail, ScalarSequence, _floor_index, log_factorials, round_sig
 from comspect.spectral import EigenSequence
 
 
@@ -50,16 +54,25 @@ _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 
 @st.composite
 def _envelope_inputs(draw):
-    kind = draw(st.sampled_from(["power", "geometric", "finite", "prefix+tail"]))
+    kind = draw(st.sampled_from(["power", "geometric", "geometric-cut", "finite", "finite-zeros", "prefix+tail"]))
     if kind == "power":
         s = ScalarSequence.power_law(draw(_POSITIVE), draw(st.floats(min_value=0.1, max_value=4.0)))
     elif kind == "geometric":
         s = ScalarSequence.geometric_law(draw(_POSITIVE), draw(st.floats(min_value=0.05, max_value=0.95)))
+    elif kind == "geometric-cut":
+        # q <= 0.5 puts the underflow cut 1100 / -log2(q) at position 1100 or
+        # before: the head ends in exact zeros
+        s = ScalarSequence.geometric_law(draw(_POSITIVE), draw(st.floats(min_value=1e-300, max_value=0.5)))
     else:
         extras = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=60))
         prefix = np.sort(np.array(extras))[::-1]
         if kind == "finite":
             s = ScalarSequence.finite(prefix)
+        elif kind == "finite-zeros":
+            # trailing zeros, and maybe a rise within STORED_SLACK after a zero
+            zeros = np.zeros(draw(st.integers(min_value=1, max_value=40)))
+            rise = draw(st.sampled_from([[], [5e-13], [1e-12, 0.0, 0.0]]))
+            s = ScalarSequence.finite(np.concatenate([prefix, zeros, rise]))
         else:
             c, a = draw(_POSITIVE), draw(st.floats(min_value=0.1, max_value=4.0))
             # every prefix entry at or above the tail's first value
@@ -417,6 +430,19 @@ class TestDyadicEnvelope:
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_level_oracle_at_stability_length(self, seed):
+        rng = np.random.default_rng(seed)
+        vals = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(2, 400))))[::-1]
+        cases = [
+            ScalarSequence.finite(np.concatenate([vals, np.zeros(100), [5e-13]])).repeated(int(rng.integers(2, 6))),
+            ScalarSequence.geometric_law(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))),
+        ]
+        for s in cases:
+            theta = float(rng.choice([2.0, 4.0, rng.uniform(0.5, 6.0)]))
+            expected = _per_level_envelope(s, theta, 10**5)
+            assert dyadic_series_envelope(s, theta, 10**5).prefix.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 1000])
     def test_one_head_evaluation(self, monkeypatch, length):
         s = ScalarSequence(np.array([3.0, 2.0, 1.0]), PowerTail(2.0, 1.0))
@@ -451,7 +477,65 @@ class TestDyadicEnvelope:
         assert u.prefix[n - 1] == pytest.approx(direct, rel=1e-9)
 
 
+def _former_stability(s, ideal, n_max):
+    """check_geometric_stability's former arithmetic (theta, empirical
+    constant, worst chain margin, chain verdict), kept as the bit-for-bit
+    oracle: the means through `value`, the per-level envelope and the chain
+    factor rebuilt on every call."""
+    t = geometric_mean_seq(s)
+    theta = 2.0 / ideal.quasi_norm_exponent
+    n = np.arange(1, n_max + 1, dtype=float)
+    t_vals = np.asarray(t.value(np.arange(1, n_max + 1)), dtype=float)
+    u_vals = _per_level_envelope(s, theta, n_max)
+    ratio = np.divide(t_vals, u_vals, out=np.zeros_like(t_vals), where=u_vals > 0)
+    empirical = float(np.max(ratio))
+    factor = np.exp(theta * (math.log(2.0) + np.log(n) - log_factorials(n_max) / n))
+    margin = t_vals - factor * u_vals
+    worst = float(np.max(margin / (1.0 + factor * u_vals)))
+    return theta.hex(), empirical.hex(), worst.hex(), bool(worst <= DERIVED_SLACK)
+
+
+def _stability_inputs(seed):
+    """Two seeded power laws, geometric laws and finite lists, drawn like the
+    benchmark's stability documents."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        c = math.exp(rng.uniform(-2.0, 2.0))
+        yield ScalarSequence.power_law(c, float(rng.uniform(0.6, 5.0)))
+        yield ScalarSequence.geometric_law(c, float(rng.uniform(0.05, 0.95)))
+        yield ScalarSequence.finite(sorted(c * rng.random(int(rng.integers(2, 40))), reverse=True))
+
+
+_POOL_IDEALS = ("schatten:p=0.5", "schatten:p=1", "schatten:p=2", "weaklp:p=2")  # theta 4, 2, 2, 2
+
+
 class TestGeometricStability:
+    @pytest.mark.parametrize("n_max", [10**5, 4096, 777])
+    def test_matches_former_arithmetic(self, n_max):
+        hits = _chain_factor.cache_info().hits
+        for s in _stability_inputs(n_max):
+            for text in _POOL_IDEALS:
+                ideal = IdealSpec.parse(text)
+                rep = check_geometric_stability(s, ideal, n_max)
+                got = (rep.theta.hex(), rep.empirical_constant.hex(), rep.worst_chain_margin.hex(), rep.chain_holds)
+                assert got == _former_stability(s, ideal, n_max), (s, text)
+        assert _chain_factor.cache_info().hits > hits
+
+    def test_chain_factor_is_cached_read_only(self):
+        factor = _chain_factor(2.0, 777)
+        assert _chain_factor(2.0, 777) is factor
+        assert _chain_factor.cache_info().maxsize == 4
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+
+    def test_chain_factor_cache_starts_empty(self):
+        code = "import comspect.cli, comspect.ideals as i; print(i._chain_factor.cache_info().currsize)"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=root)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == b"0"
+
     def test_power_law_in_trace_class(self):
         rep = check_geometric_stability(
             ScalarSequence.power_law(1.0, 2.0), IdealSpec.schatten(1), n_max=10_000

@@ -1,12 +1,15 @@
 """The long arrays of `stability` and of the law inputs, bit for bit.
 
-`ScalarSequence.head`, `GeometricTail.value_at`, `EigenLaw.prefix_values`,
-`cesaro_sequence` and the shared log-factorial array each compute their
-floats in fewer passes than before.  The oracles below are the former
+`ScalarSequence.head`, `GeometricTail.value_at`, the tails' `value_range`,
+`EigenLaw.prefix_values`, `cesaro_sequence`, `round_sig`, `_map` and the
+shared log-factorial array each compute their floats in fewer passes, or
+with fewer temporaries, than before.  The oracles below are the former
 implementations, copied here, and every comparison is byte for byte.
+`TestMemory` pins the tracemalloc peaks of the 10**6-term law arrays.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +18,15 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from comspect import sequences
-from comspect.ideals import EigenLaw, IdealSpec, cesaro_sequence, check_geometric_stability
+from comspect.ideals import EigenLaw, IdealSpec, cesaro_membership, cesaro_sequence, check_geometric_stability
 from comspect.sequences import (
+    ROUND_DIGITS,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
     ScalarSequence,
     log_factorials,
+    round_sig,
 )
 
 # -- the former implementations ------------------------------------------
@@ -124,6 +129,35 @@ class TestHead:
         _same_bytes(s.head(11), expected)
 
 
+# -- the geometric means of a power law, once per stability call ----------
+
+
+class TestFactorialRange:
+    def test_slices_of_the_last_range(self):
+        tail = FactorialPowerTail(1.3, 2.2)
+        whole = tail.value_range(0, 5000)
+        assert not whole.flags.writeable
+        for start, stop in [(0, 5000), (0, 17), (100, 4099), (4999, 5000), (10, 10)]:
+            got = tail.value_range(start, stop)
+            assert np.shares_memory(got, whole) or got.size == 0
+            _same_bytes(got, FactorialPowerTail(1.3, 2.2).value_range(start, stop))
+            _same_bytes(got, _old_value_at(tail, np.arange(start + 1, stop + 1)))
+        beyond = tail.value_range(4000, 6000)  # not inside: computed, and kept instead
+        assert not np.shares_memory(beyond, whole)
+        _same_bytes(beyond, _old_value_at(tail, np.arange(4001, 6001)))
+        inside = tail.value_range(4500, 5500)
+        assert np.shares_memory(inside, beyond)
+        _same_bytes(inside, _old_value_at(tail, np.arange(4501, 5501)))
+
+    @pytest.mark.parametrize("ideal", ["schatten:p=1", "weaklp:p=2"])
+    def test_stability_computes_the_means_once(self, monkeypatch, ideal):
+        calls = []
+        table = sequences.log_factorials
+        monkeypatch.setattr(sequences, "log_factorials", lambda n: calls.append(n) or table(n))
+        check_geometric_stability(ScalarSequence.power_law(1.0, 3.0), IdealSpec.parse(ideal), 10**5)
+        assert calls == [10**5]  # the head's range; the membership sum or sup takes a slice of it
+
+
 # -- the geometric law's underflow cut -------------------------------------
 
 
@@ -183,10 +217,108 @@ class TestLawPrefixes:
     def test_prefix_values(self, law, n):
         _same_bytes(law.prefix_values(n), _old_prefix_values(law, n))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 10**6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
     @pytest.mark.parametrize("law", LAWS, ids=repr)
     def test_cesaro_prefix(self, law, n):
+        # the positions divide a block of 2**16 at a time; the oracle divides once
         _same_bytes(cesaro_sequence(law, n).prefix, _old_cesaro_prefix(law, n))
+
+    @pytest.mark.parametrize(
+        "tail",
+        [PowerTail(1.5, 0.7), PowerTail(3.0, 1.0), PowerTail(1.0, 0.5), PowerTail(1e-300, 4.0)]
+        + [GeometricTail(c, q) for c in (1e-300, 2.0, 1e300) for q in Q_VALUES],
+        ids=repr,
+    )
+    def test_value_range_in_place(self, tail):
+        # ranges from the start, inside, and for the geometric law before, across and past its cut
+        cut = 1100.0 / -math.log2(tail.q) if isinstance(tail, GeometricTail) else 5000.0
+        inner = min(int(cut), 10**6)
+        for start, stop in [(0, 1), (0, 5000), (7, 4099), (max(inner - 50, 0), inner + 50), (inner + 3, inner + 900)]:
+            m = np.arange(start + 1, stop + 1, dtype=float)
+            _same_bytes(tail.value_range(start, stop), tail.value_at(m))
+
+
+class TestMemory:
+    """tracemalloc peaks of the 10**6-term law arrays (numpy reports its
+    buffers to tracemalloc)."""
+
+    @staticmethod
+    def _peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "law, bound_mb",
+        [(EigenLaw("power", 1.0, a=0.5), 9.0), (EigenLaw("geometric", 1.0, q=0.5), 11.0)],
+        ids=["power", "geometric"],
+    )
+    def test_cesaro_sequence(self, law, bound_mb):
+        # one 8 MB array: the law prefix, summed, made absolute and divided in place
+        cesaro_sequence(law, 10)  # mpmath's first import is not the arrays' cost
+        assert self._peak_mb(lambda: cesaro_sequence(law)) <= bound_mb
+
+    def test_weak_lp_cesaro_membership(self):
+        # round_sig and _map hold one block of 2**16 values at a time (82 MB
+        # when they took the whole 10**6 candidates at once)
+        law = EigenLaw("power", 1.0, a=3.0)
+        cesaro_sequence(law, 10)
+        assert self._peak_mb(lambda: cesaro_membership(cesaro_sequence(law), IdealSpec.weak_lp(1))) <= 60.0
+
+
+# -- round_sig and _map in blocks ------------------------------------------
+
+
+def _whole_round_sig(x):
+    """round_sig over the whole array at once (the former implementation)."""
+    arr = np.asarray(x, dtype=float)
+    out = arr.copy()
+    nz = (arr != 0) & np.isfinite(arr)
+    if np.any(nz):
+        vals = arr[nz]
+        shift = ROUND_DIGITS - 1 - np.floor(np.log10(np.abs(vals)))
+        if np.maximum.reduce(shift) <= 308:
+            scale = 10.0**shift
+            out[nz] = np.round(vals * scale) / scale
+        else:
+            pre = np.where(shift > 308, 1e300, 1.0)
+            scale = 10.0 ** np.where(shift > 308, shift - 300, shift)
+            out[nz] = np.round(vals * pre * scale) / scale / pre
+    return out if out.ndim else float(out)
+
+
+class TestBlocks:
+    @staticmethod
+    def _values(n, tiny_block):
+        rng = np.random.default_rng(n)
+        vals = np.exp(rng.uniform(-300.0, 300.0, n)) * rng.choice([-1.0, 1.0], n)
+        vals[rng.integers(0, n, 20)] = 0.0
+        vals[rng.integers(0, n, 5)] = np.inf
+        if tiny_block is not None:  # values below 1e-297 (the pre-scale branch) in one block only
+            lo = tiny_block * 2**16
+            vals[lo + rng.integers(0, min(2**16, n - lo), 50)] = 10.0 ** rng.uniform(-320.0, -297.5, 50)
+        return vals
+
+    @pytest.mark.parametrize(
+        "n, tiny_block",
+        [(n, None) for n in (2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 17)]
+        + [(2**16, 0), (2**16 + 1, 0), (2**16 + 1, 1), (3 * 2**16 + 17, 1), (3 * 2**16 + 17, 3)],
+    )
+    def test_round_sig(self, n, tiny_block):
+        vals = self._values(n, tiny_block)
+        _same_bytes(round_sig(vals), _whole_round_sig(vals))
+        _same_bytes(round_sig(vals.reshape(-1, 1)), _whole_round_sig(vals).reshape(-1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2**16, 2**16 + 1, 3 * 2**16 + 17])
+    def test_map(self, n):
+        vals = np.abs(self._values(n, None)) + 1.0
+        expected = np.array([math.log(v) for v in vals.tolist()], dtype=float)
+        _same_bytes(sequences._map(math.log, vals), expected)
+        counts = np.arange(n, dtype=np.int64)
+        _same_bytes(sequences._map(lambda k: k ** (1.0 / 3.0), counts), np.array([k ** (1.0 / 3.0) for k in range(n)]))
 
 
 # -- the shared log-factorial array ----------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from comspect.sequences import (
     PowerTail,
     ScalarSequence,
     frac_index,
+    prefix_power_sum,
     round_sig,
 )
 
@@ -180,13 +182,23 @@ class TestAggregates:
             ScalarSequence.power_law(1.3e154, 0.6),  # c**p is finite, c**p * zeta(1.2) is not
             ScalarSequence.geometric_law(1e300, 0.5),
             ScalarSequence(np.array([1e300])),  # the prefix sum
-            ScalarSequence(np.empty(0), FactorialPowerTail(1.0, 800.0)),  # the majorant c * e^a
+            ScalarSequence(np.empty(0), FactorialPowerTail(1e300, 2.0)),  # the head, and the majorant c * e^a
         ],
         ids=["power", "power-product", "geometric", "prefix", "factorial-power"],
     )
     def test_schatten_sum_past_the_float_range_is_numerical(self, seq):
         with pytest.raises(NumericalError, match="p-th power sum of a sequence overflows"):
             seq.schatten_sum(2.0)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_factorial_majorant_past_the_float_range(self, p):
+        # e^800 overflows, but every term past the first is below 1e-110: the
+        # zeta bound, taken in logs, leaves the head sum
+        tail = FactorialPowerTail(1.0, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = tail.schatten_sum(p, 0)
+        assert total == prefix_power_sum(tail.value_range(0, 100000), p) == pytest.approx(1.0)
 
     def test_schatten_divergence_wins_over_overflow(self):
         assert ScalarSequence(np.array([1e300]), PowerTail(1e300, 0.5)).schatten_sum(2.0) == math.inf
