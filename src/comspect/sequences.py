@@ -415,7 +415,8 @@ class FactorialPowerTail:
 
     def value_range(self, start: int, stop: int) -> np.ndarray:
         """value_at over m = start+1..stop, with log(m!) from the shared
-        log_factorials(stop) array: the same floats, no second gammaln pass.
+        log_factorials(stop) array and the steps after it in the positions'
+        buffer: the same floats, no second gammaln pass.
 
         The result is read-only, and the instance keeps the last one: a call
         inside that range is a slice of it, so a stability check computes its
@@ -425,8 +426,10 @@ class FactorialPowerTail:
             lo, hi, vals = self._last_range
             if lo <= start and stop <= hi:
                 return vals[start - lo : stop - lo]
-        m = np.arange(start + 1, stop + 1, dtype=float)
-        vals = self.c * np.exp(-self.a * log_factorials(stop)[start:] / m)
+        vals = np.arange(start + 1, stop + 1, dtype=float)
+        np.divide(-self.a * log_factorials(stop)[start:], vals, out=vals)
+        np.exp(vals, out=vals)
+        vals *= self.c
         vals.flags.writeable = False
         self._last_range[:] = (start, stop, vals)
         return vals
