@@ -130,11 +130,11 @@ def _chi_abs(levels: np.ndarray, partial_abs: np.ndarray, alpha):
 def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None):
     """All breakpoints of both sides up to alpha_cap, sorted ascending.
 
-    Returns (grid, base_cap, alpha_cap): base_cap is the largest finite
-    breakpoint (1/min of the rounded moduli and witness entries), alpha_cap
-    twice the largest of base_cap, alpha_star and 1.  The harmonic tail's
-    breakpoints up to alpha_cap are enumerated at once, after checking that
-    they end within _MAX_TAIL_BREAKPOINTS positions.
+    Returns (grid, alpha_cap): alpha_cap is twice the largest of the largest
+    finite breakpoint (1/min of the rounded moduli and witness entries),
+    alpha_star and 1.  The harmonic tail's breakpoints up to alpha_cap are
+    enumerated at once, after checking that they end within
+    _MAX_TAIL_BREAKPOINTS positions.
     """
     finite = np.concatenate([levels, t.rounded_levels])
     with np.errstate(over="ignore"):
@@ -173,56 +173,39 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
         parts.append(pts[: beyond.argmax()])
     grid = np.unique(np.concatenate(parts))
     grid = grid[grid <= alpha_cap]
-    return (grid if grid.size else np.ones(1)), base_cap, alpha_cap
+    return (grid if grid.size else np.ones(1)), alpha_cap
 
 
-def _tail_slope_state(t: ScalarSequence, total: float):
-    """Classify the large-alpha behaviour of nu(alpha t) against alpha*total.
-
-    Returns (status, alpha_star): status 'ok' when the right side dominates
-    beyond alpha_star, 'fail' when it eventually loses, 'trivial' when the
-    left side vanishes (total == 0).
-    """
+def _alpha_star(t: ScalarSequence, total: float) -> float | None:
+    """The scale past which nu(alpha t) stays above alpha*total, or None
+    when it never does: a finite witness against a nonzero total, or a tail
+    coefficient whose slope r*c does not exceed the total.  0 when the total
+    cancels."""
     c = t.harmonic_coefficient()
     if total == 0.0:
-        return "trivial", 0.0
+        return 0.0
     if c is None:
-        return "fail", None
+        return None
     r = t.repeat
     margin = r * c - total
     if round_sig(margin) <= 0:
-        return "fail", None
+        return None
     n_pos = int(np.count_nonzero(t.prefix > 0))
-    return "ok", max(0.0, r * (1 + t.base_length - n_pos) / margin)
-
-
-def _find_failure(lhs_fn, rhs_fn, start: float) -> float | None:
-    """Search upward (geometrically) for a scale where lhs > rhs + slack."""
-    alpha = max(start, 1e-6)
-    for _ in range(400):
-        if exceeds_scaled(lhs_fn(alpha), rhs_fn(alpha)):
-            return alpha
-        alpha *= 1.5
-    return None
+    return max(0.0, r * (1 + t.base_length - n_pos) / margin)
 
 
 def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> ConditionCheck:
     """Shared exact scan for conditions (4) (counting side) and (5) (log side).
 
-    Both sides are evaluated over the whole breakpoint grid at once.
+    Both sides are evaluated over the whole breakpoint grid at once, which
+    decides every alpha up to alpha_cap.  Beyond it, alpha_cap >= 2*alpha_star
+    keeps the counting side above alpha*total and the log side's margin
+    increasing; without an alpha_star the condition fails there, and
+    failing_alpha names a grid scale only when one fails on the grid.
     """
     levels, partial_abs, total = _chi_data(lam)
-    state, alpha_star = _tail_slope_state(t, total)
-
-    def rhs(alpha):
-        if use_mu:
-            return t.sum_plog(alpha)
-        return np.asarray(t.count_ge(1.0 / alpha), dtype=float)[()]  # a scalar for a scalar
-
-    def lhs(alpha):
-        return alpha * _chi_abs(levels, partial_abs, alpha)
-
-    grid, base_cap, alpha_cap = _alpha_grid(levels, t, alpha_star)
+    alpha_star = _alpha_star(t, total)
+    grid, alpha_cap = _alpha_grid(levels, t, alpha_star)
     grid_next = np.append(grid[1:], alpha_cap)
     sum_abs = _chi_abs(levels, partial_abs, grid)
     # the left side is 0 wherever |S| = 0, also at an infinite alpha_cap
@@ -231,7 +214,8 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
     left_next = np.multiply(grid_next, sum_abs, out=np.zeros(grid.size), where=live)
     # the left side is linear on [b, b_next): its supremum is the right
     # limit; the log side is continuous and the margin concave on the
-    # interval, so the two endpoint checks are exhaustive
+    # interval, so the two endpoint checks are exhaustive.  The last right
+    # limit includes every positive level and is the left side at alpha_cap
     if use_mu:
         # exact log sides only where they matter: a check whose bracket ends disagree
         # (exceeds_scaled is monotone in right >= 0), a ratio whose bound from lo
@@ -245,28 +229,15 @@ def _scan_condition(lam: EigenSequence, t: ScalarSequence, use_mu: bool) -> Cond
         for side, at in sides:
             undecided = exceeds_scaled(side, lo[at]) != exceeds_scaled(side, right_all[at])
             exact[at] |= undecided | ((side > 0) & (side / np.maximum(lo[at], 1.0) >= top))
-        right_all[exact] = rhs(scales[exact])
+        right_all[exact] = t.sum_plog(scales[exact])
         right, right_next = right_all[:-1], right_all[1:]
     else:
-        right = right_next = rhs(grid)
+        right = right_next = np.asarray(t.count_ge(1.0 / grid), dtype=float)
     ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
     worst = float(np.fmax.reduce(ratios, initial=0.0))  # skips nan, as max(worst, r) did
     fails = exceeds_scaled(left, right) | exceeds_scaled(left_next, right_next)
-    holds = not fails.any()
-    failing = None if holds else float(grid[fails.argmax()])
-    if holds and state == "fail":
-        # every finite breakpoint passed but the right side eventually loses
-        holds = False
-        failing = _find_failure(lhs, rhs, base_cap)
-        if failing is not None:
-            worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
-    elif holds and state == "ok" and total > 0.0:
-        # beyond alpha_cap >= 2*alpha_star the floor bound keeps the counting
-        # side above alpha*total, and the log side's margin is increasing;
-        # the edge check closes the interval ending at alpha_cap
-        if exceeds_scaled(lhs(alpha_cap), rhs(alpha_cap)):
-            holds = False
-            failing = alpha_cap
+    failing = float(grid[fails.argmax()]) if fails.any() else None
+    holds = alpha_star is not None and failing is None
     return ConditionCheck(holds, worst, int(grid.size), failing)
 
 

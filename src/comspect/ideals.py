@@ -409,21 +409,29 @@ def check_geometric_stability(
     chain is pointwise, so an input outside the ideal gets it and both
     verdicts too.
     """
+    theta = 2.0 / ideal.quasi_norm_exponent
+    try:  # the chain factor stays below (2e)^theta, so this one check covers it
+        proof_c = (2.0 * math.e) ** theta
+    except OverflowError:
+        raise NumericalError(
+            "the chain constant (2e)^theta, theta = 2/min(p, 1), overflows the float range"
+        ) from None
     verdict_in = membership(s, ideal)
     t = geometric_mean_seq(s)
     t_vals = t.head(n_max)  # before membership, which then reuses a power law's means
     verdict_t = membership(t, ideal)
-    theta = 2.0 / ideal.quasi_norm_exponent
     u_vals = dyadic_series_envelope(s, theta, n_max).prefix
     ratio = np.divide(t_vals, u_vals, out=np.zeros_like(t_vals), where=u_vals > 0)
     empirical = float(np.max(ratio)) if n_max else 0.0
     # the displayed comparison t_n <= 2^theta n^theta (n!)^(-theta/n) u_n
-    bound = _chain_factor(theta, n_max) * u_vals
-    margin = t_vals - bound
-    bound += 1.0
-    margin /= bound
-    worst = float(np.max(margin))
-    proof_c = (2.0 * math.e) ** theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _chain_factor(theta, n_max) * u_vals
+        margin = t_vals - bound
+        bound += 1.0
+        margin /= bound
+    # where the bound passed the float range the margin is nan (-inf/inf), and
+    # (t - B)/(B + 1) would round to -1: fmax skips it, and no margin is below -1
+    worst = float(np.fmax.reduce(margin, initial=-1.0))
     return StabilityReport(
         input_verdict=verdict_in,
         mean_verdict=verdict_t,

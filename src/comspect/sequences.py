@@ -283,6 +283,14 @@ def finite_power_sum(total: float) -> float:
     return total
 
 
+def finite_weak_sup(sup: float) -> float:
+    """A finite weak-lp supremum, or NumericalError when its float evaluation
+    passed the float range (or met inf * 0), as finite_power_sum."""
+    if not math.isfinite(sup):
+        raise NumericalError("the weak-lp supremum of a sequence overflows the float range")
+    return sup
+
+
 def prefix_power_sum(values: np.ndarray, p: float) -> float:
     """np.sum(values**p) over a finite prefix, through finite_power_sum."""
     with np.errstate(over="ignore"):
@@ -291,11 +299,20 @@ def prefix_power_sum(values: np.ndarray, p: float) -> float:
 
 def _pow(x: float, y: float) -> float:
     """x**y with Python's float pow, but inf where that raises OverflowError
-    (numpy's pow gives inf there), for the sums finite_power_sum checks."""
+    (numpy's pow gives inf there), for the sums and suprema finite_power_sum
+    checks."""
     try:
         return x**y
     except OverflowError:
         return math.inf
+
+
+def _weak_sup_of(n: np.ndarray, values: np.ndarray, p: float) -> float:
+    """max of n^(1/p) * values over the positive values (n^(1/p) may
+    overflow where a value has underflowed to 0)."""
+    with np.errstate(over="ignore"):
+        powers = n ** (1.0 / p)
+    return float(np.max(np.multiply(powers, values, out=np.zeros(values.size), where=values > 0)))
 
 
 @dataclass(frozen=True)
@@ -339,7 +356,7 @@ class PowerTail:
         if ap == 1:
             return self.c
         m = start + 1
-        return m ** (1.0 / p) * self.c * m ** (-self.a)
+        return finite_weak_sup(_pow(m, 1.0 / p) * self.c * _pow(m, -self.a))
 
 
 @dataclass(frozen=True)
@@ -389,7 +406,7 @@ class GeometricTail:
         # maximize m^(1/p) * c * q^m over integer m > start
         m_star = -1.0 / (p * math.log(self.q))
         cands = {start + 1, max(start + 1, math.floor(m_star)), max(start + 1, math.ceil(m_star))}
-        return max(m ** (1.0 / p) * self.c * self.q**m for m in cands)
+        return finite_weak_sup(max(_pow(m, 1.0 / p) * self.c * self.q**m for m in cands))
 
 
 @dataclass(frozen=True)
@@ -453,9 +470,9 @@ class FactorialPowerTail:
         if ap < 1:
             return math.inf
         if ap == 1:
-            return self.c * math.e**self.a  # m^a/(m!)^(a/m) increases to e^a
+            return finite_weak_sup(self.c * _pow(math.e, self.a))  # m^a/(m!)^(a/m) increases to e^a
         m = np.arange(start + 1, start + 10001, dtype=float)
-        return float(np.max(m ** (1.0 / p) * self.value_range(start, start + 10000)))
+        return finite_weak_sup(_weak_sup_of(m, self.value_range(start, start + 10000), p))
 
 
 Tail = PowerTail | GeometricTail | FactorialPowerTail
@@ -644,15 +661,18 @@ class ScalarSequence:
         return finite_power_sum(self.repeat * (prefix_power_sum(self.prefix, p) + tail))
 
     def weak_sup(self, p: float) -> float:
-        """sup_n n^(1/p) * value(n) over the whole sequence."""
+        """sup_n n^(1/p) * value(n) over the whole sequence: math.inf when the
+        tail's supremum diverges, NumericalError when a finite one passes the
+        float range."""
         sup = 0.0
         if self.prefix.size:
-            n = self.repeat * np.arange(1, self.prefix.size + 1)
-            sup = float(np.max(n ** (1.0 / p) * self.prefix))
+            sup = _weak_sup_of(self.repeat * np.arange(1, self.prefix.size + 1), self.prefix, p)
         if self.tail is not None:
             t = self.tail.weak_sup(p, self.prefix.size)
-            sup = max(sup, self.repeat ** (1.0 / p) * t)
-        return sup
+            if t == math.inf:
+                return math.inf
+            sup = max(sup, _pow(self.repeat, 1.0 / p) * t)
+        return finite_weak_sup(sup)
 
     # -- transforms ----------------------------------------------------
 

@@ -158,23 +158,16 @@ def scalar_sequence_from_json(doc) -> ScalarSequence:
     if not isinstance(doc, dict):
         raise SchemaError("sequence document must be a JSON object")
     kind = _require(doc, "kind", str)
-    if kind == "finite":
-        values = _require(doc, "values", list)
-        arr = np.array([_number(v, "values", i) for i, v in enumerate(values)], dtype=float)
-        try:
-            return ScalarSequence(arr)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    if kind == "power":
-        try:
+    try:
+        if kind == "finite":
+            values = _require(doc, "values", list)
+            return ScalarSequence(np.array([_number(v, "values", i) for i, v in enumerate(values)], dtype=float))
+        if kind == "power":
             return ScalarSequence.power_law(_float_field(doc, "c"), _float_field(doc, "a"))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    if kind == "geometric":
-        try:
+        if kind == "geometric":
             return ScalarSequence.geometric_law(_float_field(doc, "c"), _float_field(doc, "q"))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+    except ValueError as exc:  # the constructors' checks, as input errors
+        raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown sequence kind {kind!r}")
 
 

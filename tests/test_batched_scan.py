@@ -1,11 +1,13 @@
 """The batched alpha scan against the per-point scan it replaced.
 
 The oracle below is the earlier implementation, one scale at a time: scalar
-rounding, a Python set of breakpoints, and a loop of endpoint checks.  The
-batched scan must reproduce its grid, every right side and every
-ConditionCheck bit for bit.  A second oracle is the batched scan with the
-exact log side at every grid scale; condition (5) brackets that side and must
-agree with it bit for bit.
+rounding, a Python set of breakpoints, and a loop of endpoint checks, closed
+by a check at alpha_cap and, for a witness whose right side cannot keep up, a
+geometric search past the grid for a failing scale.  The batched scan decides
+on its grid alone; it must reproduce the oracle's grid, every right side and
+every ConditionCheck bit for bit wherever the search did not run.  A second
+oracle is the batched scan with the exact log side at every grid scale;
+condition (5) brackets that side and must agree with it bit for bit.
 """
 
 import hashlib
@@ -13,14 +15,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from comspect import cli
 from comspect import criterion as crit
 from comspect.errors import NumericalError
-from comspect.ideals import EigenLaw
+from comspect.ideals import EigenLaw, IdealSpec
 from comspect.sequences import DERIVED_SLACK, STORED_SLACK, PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
@@ -106,15 +108,41 @@ def _old_alpha_grid(mods, t, alpha_cap):
     return sorted(p for p in pts if p <= alpha_cap) or [1.0]
 
 
+def _old_tail_slope_state(t, total):
+    """('ok', alpha_star), ('fail', None) when the right side eventually
+    loses, or ('trivial', 0.0) when the total cancels."""
+    c = t.harmonic_coefficient()
+    if total == 0.0:
+        return "trivial", 0.0
+    if c is None:
+        return "fail", None
+    margin = t.repeat * c - total
+    if _old_round_sig(margin) <= 0:
+        return "fail", None
+    n_pos = int(np.count_nonzero(t.prefix > 0))
+    return "ok", max(0.0, t.repeat * (1 + t.base_length - n_pos) / margin)
+
+
+def _old_find_failure(lhs_fn, rhs_fn, start):
+    alpha = max(start, 1e-6)
+    for _ in range(400):
+        left, right = lhs_fn(alpha), rhs_fn(alpha)
+        if left > right + DERIVED_SLACK * (1.0 + abs(right)):
+            return alpha
+        alpha *= 1.5
+    return None
+
+
 def _old_scan(lam, t, use_mu):
-    """(ConditionCheck, grid, alpha_cap) of the per-point scan."""
+    """(ConditionCheck, grid, alpha_cap, searched) of the per-point scan;
+    `searched` tells whether the failure search past the grid ran."""
     mods = _old_round_sig(lam.moduli)
     csum = np.cumsum(lam.values) if lam.values.size else np.zeros(0, complex)
     scale = float(np.sum(lam.moduli))
     total = abs(complex(csum[-1])) if csum.size else 0.0
     if scale > 0 and total <= 1e-12 * scale:
         total = 0.0
-    state, alpha_star = crit._tail_slope_state(t, total)
+    state, alpha_star = _old_tail_slope_state(t, total)
 
     def rhs(alpha):
         return _old_sum_plog(t, alpha) if use_mu else float(_old_count_ge(t, 1.0 / alpha))
@@ -139,16 +167,17 @@ def _old_scan(lam, t, use_mu):
             if left > right_val + DERIVED_SLACK * (1.0 + right_val):
                 holds = False
                 failing = failing if failing is not None else b
-    if holds and state == "fail":
+    searched = holds and state == "fail"
+    if searched:
         holds = False
-        failing = crit._find_failure(lhs, rhs, base_cap)
+        failing = _old_find_failure(lhs, rhs, base_cap)
         if failing is not None:
             worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
     elif holds and state == "ok" and total > 0.0:
         edge_rhs = rhs(alpha_cap)
         if lhs(alpha_cap) > edge_rhs + DERIVED_SLACK * (1.0 + edge_rhs):
             holds, failing = False, alpha_cap
-    return crit.ConditionCheck(holds, worst, len(grid), failing), grid, alpha_cap
+    return crit.ConditionCheck(holds, worst, len(grid), failing), grid, alpha_cap, searched
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +221,10 @@ def test_batched_scan_matches_per_point_scan(lam):
     env = crit.condition3_witness(lam)
     t4 = crit.witness_3_to_4(crit.dominating_witness(lam, env))
     for t, use_mu, check in ((t4, False, crit.condition4_check), (t4.scaled(math.e), True, crit.condition5_check)):
-        old_check, old_grid, old_cap = _old_scan(lam, t, use_mu)
+        old_check, old_grid, old_cap, searched = _old_scan(lam, t, use_mu)
+        assert not searched  # the witnesses the criterion builds always keep up
         levels, _, total = crit._chi_data(lam)
-        _, alpha_star = crit._tail_slope_state(t, total)
-        grid, _, alpha_cap = crit._alpha_grid(levels, t, alpha_star)
+        grid, alpha_cap = crit._alpha_grid(levels, t, crit._alpha_star(t, total))
         assert np.array_equal(_bits(grid), _bits(old_grid))
         assert alpha_cap == old_cap
         # every per-alpha right side, batched and one at a time
@@ -242,12 +271,42 @@ def test_prefix_rising_within_tolerance_keeps_masked_sums():
     assert np.array_equal(_bits(t.sum_plog(alphas)), _bits([_old_sum_plog(t, a) for a in alphas.tolist()]))
 
 
-def test_failing_state_search_matches():
-    # a finite witness with a nonzero total: the right side eventually loses
+# t0 and its four-fold repeat at these scales: slopes r*c below, at and above
+# the total, so the former scan's search and its alpha_cap check both run
+HAND_SCALES = [0.05, 0.3, 1.0, math.e, 5.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(eigenvalue_lists())
+@example(EigenSequence(np.array([2.0, 1.0], dtype=complex)))
+def test_hand_built_witnesses_match_the_former_scan(lam):
+    # where the search ran (a witness that cannot keep up whose grid passed),
+    # the condition fails with the grid's worst ratio and no failing scale
+    t0 = crit.dominating_witness(lam, crit.condition3_witness(lam))
+    for t in (t0, crit.witness_3_to_4(t0)):
+        for factor in HAND_SCALES:
+            w = t.scaled(factor)
+            for use_mu, check in ((False, crit.condition4_check), (True, crit.condition5_check)):
+                new = check(lam, w)
+                old, _, _, searched = _old_scan(lam, w, use_mu)
+                assert _same_check(new, _full_grid_scan(lam, w, use_mu))
+                if searched:
+                    assert not new.holds and not old.holds and new.failing_alpha is None
+                else:
+                    assert _same_check(new, old)
+
+
+def test_finite_witness_that_cannot_keep_up_fails_on_its_grid():
+    # a finite witness with a nonzero total: the right side stops growing at
+    # 10, which alpha * 3 passes only beyond alpha_cap = 2
     lam = EigenSequence(np.array([2.0, 1.0], dtype=complex))
-    t = ScalarSequence.finite([3.0, 3.0, 1.0])
+    t = ScalarSequence.finite([3.0] * 10)
     for use_mu, check in ((False, crit.condition4_check), (True, crit.condition5_check)):
-        assert _same_check(check(lam, t), _old_scan(lam, t, use_mu)[0])
+        new = check(lam, t)
+        old, _, _, searched = _old_scan(lam, t, use_mu)
+        assert searched and old.failing_alpha is not None
+        assert not new.holds and new.failing_alpha is None
+        assert new.witness_scale == old.witness_scale and new.worst_ratio <= old.worst_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +316,15 @@ def test_failing_state_search_matches():
 def _full_grid_scan(lam, t, use_mu):
     """The batched scan with the exact right side at every grid scale."""
     levels, partial_abs, total = crit._chi_data(lam)
-    state, alpha_star = crit._tail_slope_state(t, total)
-
-    def rhs(alpha):
-        if use_mu:
-            return t.sum_plog(alpha)
-        return np.asarray(t.count_ge(1.0 / alpha), dtype=float)[()]
-
-    def lhs(alpha):
-        return alpha * crit._chi_abs(levels, partial_abs, alpha)
-
-    grid, base_cap, alpha_cap = crit._alpha_grid(levels, t, alpha_star)
+    alpha_star = crit._alpha_star(t, total)
+    grid, alpha_cap = crit._alpha_grid(levels, t, alpha_star)
     grid_next = np.append(grid[1:], alpha_cap)
     sum_abs = crit._chi_abs(levels, partial_abs, grid)
     if use_mu:
-        right_all = rhs(np.append(grid, alpha_cap))
+        right_all = t.sum_plog(np.append(grid, alpha_cap))
         right, right_next = right_all[:-1], right_all[1:]
     else:
-        right = right_next = rhs(grid)
+        right = right_next = np.asarray(t.count_ge(1.0 / grid), dtype=float)
     live = sum_abs > 0
     left = np.multiply(grid, sum_abs, out=np.zeros(grid.size), where=live)
     left_next = np.multiply(grid_next, sum_abs, out=np.zeros(grid.size), where=live)
@@ -282,17 +332,8 @@ def _full_grid_scan(lam, t, use_mu):
         ratios = np.concatenate([left / np.maximum(right, 1.0), left_next / np.maximum(right_next, 1.0)])
     worst = float(np.fmax.reduce(ratios, initial=0.0))
     fails = crit.exceeds_scaled(left, right) | crit.exceeds_scaled(left_next, right_next)
-    holds = not fails.any()
-    failing = None if holds else float(grid[fails.argmax()])
-    if holds and state == "fail":
-        holds = False
-        failing = crit._find_failure(lhs, rhs, base_cap)
-        if failing is not None:
-            worst = max(worst, lhs(failing) / max(rhs(failing), 1.0))
-    elif holds and state == "ok" and total > 0.0:
-        if crit.exceeds_scaled(lhs(alpha_cap), rhs(alpha_cap)):
-            holds, failing = False, alpha_cap
-    return crit.ConditionCheck(holds, worst, int(grid.size), failing)
+    failing = float(grid[fails.argmax()]) if fails.any() else None
+    return crit.ConditionCheck(alpha_star is not None and failing is None, worst, int(grid.size), failing)
 
 
 def _witnesses(lam):
@@ -338,6 +379,49 @@ def test_any_sound_bracket_gives_the_exact_outcome(lam, shrink, wide_share, fact
         mp.setattr(ScalarSequence, "sum_plog_bounds", loose)
         check = crit.condition5_check(lam, t5)
     assert _same_check(check, _full_grid_scan(lam, t5, True))
+
+
+@st.composite
+def extreme_eigenvalue_lists(draw):
+    """eigenvalue_lists' shapes scaled by 1e-300..1e300, optionally closed by
+    the value that cancels the total, exactly or up to a relative 1e-6 or
+    1e-11 (a subnormal total at the smallest scales)."""
+    n = draw(st.integers(1, 6))
+    base = draw(st.floats(-3.0, 1.0))
+    expo = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    turns = st.floats(0.0, 2 * math.pi).map(lambda a: complex(math.cos(a), math.sin(a)))
+    phases = draw(st.lists(st.sampled_from([1.0, -1.0]) | turns, min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]))
+    vals = [scale * 10.0 ** (base + e) * z for e, z in zip(expo, phases)]
+    closer = draw(st.sampled_from([None, 0.0, 1e-6, 1e-11]))
+    if closer is not None:
+        vals.append(-sum(vals) * (1.0 - closer))
+    return np.array(vals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(extreme_eigenvalue_lists())
+@example(np.array([1e-308, -9.9999999999e-309]))
+def test_built_witnesses_always_keep_up(vals):
+    # the scan decides on its grid, and needs no search past it, because the
+    # witnesses the criterion builds have slope 4|S| and 4e|S|, above |S|:
+    # their alpha_star exists.  It is finite wherever the criterion gets
+    # through; the inputs that exit 3 first (condition (2), the envelope, or
+    # the grid's breakpoint cap and closing scale, where a subnormal total
+    # makes alpha_star inf) are left out of that check
+    lam = EigenSequence.from_values(vals)
+    try:
+        witnesses = _witnesses(lam)
+    except NumericalError:
+        assume(False)
+    stars = [crit._alpha_star(t, lam.net_total) for t in witnesses]
+    assert None not in stars
+    try:
+        crit.commutator_membership(lam, IdealSpec.schatten(1))
+    except NumericalError as exc:
+        event(f"exits 3: {exc}")
+        return
+    assert all(math.isfinite(a) for a in stars)
 
 
 # laws with the length of their witness prefix (the criterion takes 2,000
@@ -428,8 +512,7 @@ def _block_alpha_grid(levels, t, alpha_star):
     with np.errstate(over="ignore"):
         finite = 1.0 / finite[finite > 0]
     finite = finite[np.isfinite(finite)]
-    base_cap = float(finite.max()) if finite.size else 1.0
-    alpha_cap = 2.0 * max(base_cap, alpha_star or 0.0, 1.0)
+    alpha_cap = 2.0 * max(float(finite.max()) if finite.size else 1.0, alpha_star or 0.0, 1.0)
     parts = [finite]
     if t.tail is not None:
         lo = t.base_length + 1
@@ -449,7 +532,7 @@ def _block_alpha_grid(levels, t, alpha_star):
             raise NumericalError("tail breakpoint enumeration exceeded its cap")
     grid = np.unique(np.concatenate(parts))
     grid = grid[grid <= alpha_cap]
-    return (grid if grid.size else np.ones(1)), base_cap, alpha_cap
+    return (grid if grid.size else np.ones(1)), alpha_cap
 
 
 @pytest.mark.parametrize(
@@ -474,9 +557,9 @@ def test_tail_cap_boundary_matches_block_enumeration(witness, side):
         with pytest.raises(NumericalError, match="^tail breakpoint enumeration exceeded its cap$"):
             crit._alpha_grid(levels, witness, alpha_star)
         return
-    old_grid, old_base, old_cap = _block_alpha_grid(levels, witness, alpha_star)
-    grid, base_cap, cap = crit._alpha_grid(levels, witness, alpha_star)
-    assert cap == old_cap == alpha_cap and base_cap == old_base
+    old_grid, old_cap = _block_alpha_grid(levels, witness, alpha_star)
+    grid, cap = crit._alpha_grid(levels, witness, alpha_star)
+    assert cap == old_cap == alpha_cap
     assert grid.size >= crit._MAX_TAIL_BREAKPOINTS - 1
     assert np.array_equal(_bits(grid), _bits(old_grid))
 

@@ -561,6 +561,81 @@ class TestFactorialMajorantOverflow:
         assert report["chainHolds"]
 
 
+class TestStabilityAtSmallP:
+    """stability with p near 0, where theta = 2/min(p, 1) and the weak-lp
+    weights n^(1/p) leave the float range: one documented exit-3 line or a
+    finite verdict, never a traceback, a warning or an overflow read as Out."""
+
+    CHAIN = "numerical failure: the chain constant (2e)^theta, theta = 2/min(p, 1), overflows the float range"
+    WEAK = "numerical failure: the weak-lp supremum of a sequence overflows the float range"
+
+    @pytest.mark.parametrize(
+        "ideal, doc, line",
+        [
+            ("schatten:p=0.0047", {"kind": "geometric", "c": 1, "q": 0.5}, CHAIN),
+            ("weaklp:p=0.0047", {"kind": "finite", "values": [1.0]}, CHAIN),
+            ("weaklp:p=0.005", {"kind": "geometric", "c": 1, "q": 0.5}, WEAK),  # was an OverflowError
+            # a finite list is in every weak-lp ideal: this read "inf" and Out
+            ("weaklp:p=0.005", {"kind": "finite", "values": [1.0 / n for n in range(1, 1001)]}, WEAK),
+        ],
+        ids=["schatten-theta", "weaklp-theta", "weaklp-geometric", "weaklp-finite"],
+    )
+    def test_exits_three(self, tmp_path, capsys, ideal, doc, line):
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", ideal], doc, 3, line)
+
+    def test_factorial_supremum_is_finite(self, tmp_path, capsys):
+        # n^200 overflows where the geometric means have underflowed to 0:
+        # inf * 0 read as weak_sup 0, below t_1 = 1; the supremum is at n = 3
+        doc = {"kind": "power", "c": 1, "a": 300}
+        out = TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", "weaklp:p=0.005"], doc, 0, "")
+        mean = json.loads(out)["meanVerdict"]
+        assert mean["status"] == "In"
+        assert mean["evidence"]["weak_sup"] == pytest.approx(3**200 * math.factorial(3) ** -100, rel=1e-12)
+
+    def test_chain_bound_past_the_float_range(self, tmp_path, capsys):
+        # the bound 2^40 n^40 (n!)^(-40/n) u_n passes the float range for
+        # c = 1e300: the margin (t_n - B)/(B + 1) is -1 there
+        from comspect.ideals import IdealSpec, check_geometric_stability
+        from comspect.sequences import ScalarSequence
+
+        doc = {"kind": "geometric", "c": 1e300, "q": 0.5}
+        out = TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", "schatten:p=0.05"], doc, 0, "")
+        report = json.loads(out)
+        assert report["chainHolds"] and report["worstChainMargin"] == -1
+        # the only position's bound overflows
+        only = check_geometric_stability(ScalarSequence.finite([1e300]), IdealSpec.schatten(0.05), n_max=1)
+        assert only.chain_holds and only.worst_chain_margin == -1.0
+
+    def test_threshold_is_the_float_range_of_the_constant(self):
+        # (2e)^theta is finite up to theta = log(max float)/log(2e), p ~ 0.004772
+        from comspect.errors import NumericalError
+        from comspect.ideals import IdealSpec, check_geometric_stability
+        from comspect.sequences import ScalarSequence
+
+        edge = 2.0 * math.log(2.0 * math.e) / math.log(sys.float_info.max)
+        s = ScalarSequence.finite([1.0])
+        report = check_geometric_stability(s, IdealSpec.schatten(edge * (1 + 1e-9)), n_max=64)
+        assert math.isfinite(report.proof_constant)
+        with pytest.raises(NumericalError, match="chain constant"):
+            check_geometric_stability(s, IdealSpec.schatten(edge * (1 - 1e-9)), n_max=64)
+
+
+class TestSequenceSchemaLines:
+    """The sequence constructors' checks surface as exit-2 input errors."""
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({"kind": "finite", "values": [1, 2]}, "input error: prefix must be nonincreasing"),
+            ({"kind": "power", "c": -1, "a": 1}, "input error: power tail requires c > 0 and a > 0"),
+            ({"kind": "geometric", "c": 1, "q": 1.5}, "input error: geometric tail requires c > 0 and 0 < q < 1"),
+        ],
+        ids=["finite-rising", "power-c", "geometric-q"],
+    )
+    def test_stability_input_errors(self, tmp_path, capsys, doc, line):
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", "schatten:p=1"], doc, 2, line)
+
+
 class TestWeakLpLawCells:
     """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
 

@@ -354,12 +354,14 @@ class TestWitnessShape:
             check(_eig([1.0]), ScalarSequence(np.empty(0), tail))
 
     def test_finite_witness_failure_search(self):
-        # the right side of a finite witness stops growing: the geometric
-        # search from the largest finite breakpoint finds the first failure
+        # the right side of a finite witness stops growing at 5, so the
+        # condition fails for large alpha; no scale fails on the grid [1] and
+        # its closing scale 2, so no failing scale is named and the worst
+        # ratio is the grid's, 2 * 1 / 5
         check = condition4_check(EigenSequence([1]), ScalarSequence.finite([1.0] * 5))
         assert not check.holds
-        assert check.failing_alpha == float.fromhex("0x1.44p+2")
-        assert check.worst_ratio == 1.0125
+        assert check.failing_alpha is None
+        assert check.worst_ratio == 0.4
 
     def test_criterion_names_no_other_tail(self):
         # the shape is decided once, by ScalarSequence.harmonic_coefficient
