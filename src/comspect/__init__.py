@@ -2,8 +2,8 @@
 membership for operator ideals, evaluated on finite matrices and symbolic
 decay-law sequences.
 
-The exported names load lazily: each submodule (and numpy, mpmath behind
-it) is imported on first access to one of its names.
+The exported names load lazily: each submodule (and numpy behind it) is
+imported on first access to one of its names.
 """
 
 import importlib

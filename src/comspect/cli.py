@@ -6,11 +6,11 @@ floats) so a fixed invocation is byte-reproducible.  Exit codes: 0 success,
 1 verify found violations, 2 malformed input, 3 numerical failure.
 
 Heavy imports happen inside the handlers, and the package exports resolve
-lazily, so ``python -m comspect.cli`` starts with neither numpy nor mpmath
-loaded.  ``main`` therefore applies the thread cap from the
-COMSPECT_THREADS environment variable before numpy's first import, and each
-subcommand loads only the libraries it uses: numpy alone, and mpmath also
-in ``criterion`` on a symbolic law.  The package never imports scipy.
+lazily, so ``python -m comspect.cli`` starts without numpy loaded.
+``main`` therefore applies the thread cap from the COMSPECT_THREADS
+environment variable before numpy's first import.  Every command loads
+numpy alone: the package imports nothing outside numpy and the standard
+library.
 """
 
 from __future__ import annotations

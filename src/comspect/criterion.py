@@ -69,6 +69,7 @@ IN_COM = "InComJ"
 NOT_IN_COM = "NotInComJ"
 
 _MAX_TAIL_BREAKPOINTS = 2_000_000
+_LAW_WITNESS_TERMS = 2000  # a symbolic law's witnesses (3)-(5) are built from its first terms
 
 
 @dataclass(frozen=True)
@@ -319,12 +320,7 @@ def _witness_checks(lam: EigenSequence):
     return env, c4, c5
 
 
-def commutator_membership(
-    source,
-    ideal: IdealSpec,
-    prefix_length: int = 10**6,
-    witness_prefix: int = 2000,
-) -> CriterionReport:
+def commutator_membership(source, ideal: IdealSpec, prefix_length: int = 10**6) -> CriterionReport:
     """Full membership report for a matrix, finite sequence, or symbolic law.
 
     The verdict is condition (2), which decides membership in [J, B(H)]
@@ -336,7 +332,7 @@ def commutator_membership(
     """
     split_report = None
     if isinstance(source, EigenLaw):
-        lam = EigenSequence(source.prefix_values(witness_prefix))
+        lam = EigenSequence(source.prefix_values(_LAW_WITNESS_TERMS))
         cond2 = condition2(source, ideal, prefix_length)
     elif isinstance(source, EigenSequence):
         lam = source

@@ -157,6 +157,14 @@ def scalar_sequence_from_json(doc) -> ScalarSequence:
     """Nonnegative nonincreasing sequence: finite, power, or geometric."""
     if not isinstance(doc, dict):
         raise SchemaError("sequence document must be a JSON object")
+    if doc.get("alternating", False) is not False:
+        raise SchemaError("field 'alternating' must be false for a nonnegative sequence")
+    return _sequence(doc)
+
+
+def _sequence(doc: dict) -> ScalarSequence:
+    """The sequence of a finite document or the bare law of a power or
+    geometric one, with the constructors' checks as input errors."""
     kind = _require(doc, "kind", str)
     try:
         if kind == "finite":
@@ -166,7 +174,7 @@ def scalar_sequence_from_json(doc) -> ScalarSequence:
             return ScalarSequence.power_law(_float_field(doc, "c"), _float_field(doc, "a"))
         if kind == "geometric":
             return ScalarSequence.geometric_law(_float_field(doc, "c"), _float_field(doc, "q"))
-    except ValueError as exc:  # the constructors' checks, as input errors
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown sequence kind {kind!r}")
 
@@ -193,11 +201,7 @@ def eigen_input_from_json(doc):
             for i, item in enumerate(values)
         ]
         return EigenSequence.from_values(np.array(vals, dtype=np.complex128))
-    if kind == "power":
-        return EigenLaw("power", _float_field(doc, "c"), a=_float_field(doc, "a"), alternating=alternating)
-    if kind == "geometric":
-        return EigenLaw("geometric", _float_field(doc, "c"), q=_float_field(doc, "q"), alternating=alternating)
-    raise SchemaError(f"unknown sequence kind {kind!r}")
+    return EigenLaw(_sequence(doc).tail, alternating)  # a power or geometric law, or the kind's error
 
 
 def verdict_to_json(v: MembershipVerdict) -> dict:

@@ -18,7 +18,7 @@ from comspect.criterion import condition2
 from comspect.cutoffs import eval_g, eval_h, laplacian_grid_check
 from comspect.functionals import circle_mean, derived_c2, f_hat
 from comspect.ideals import EigenLaw, IdealSpec, cesaro_sequence, check_geometric_stability
-from comspect.sequences import ScalarSequence
+from comspect.sequences import PowerTail, ScalarSequence
 from comspect.spectral import eigenvalue_sequence, eigenvalue_stack
 from comspect.verify import SuiteConfig, gen_matrix, run_suite
 
@@ -192,7 +192,7 @@ def test_acceptance_7_geometric_stability():
 
 
 def test_acceptance_8_criterion_instance():
-    alt = EigenLaw("power", 1.0, a=1.0, alternating=True)
+    alt = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
     ces = cesaro_sequence(alt, 10**6)
     n = ces.prefix.size
     limit = n * ces.prefix[-1]
@@ -200,7 +200,7 @@ def test_acceptance_8_criterion_instance():
     assert condition2(alt, IdealSpec.schatten(1), 10**6).status == "Out"
     assert condition2(alt, IdealSpec.schatten(2), 10**6).status == "In"
 
-    pos = EigenLaw("power", 1.0, a=1.0, alternating=False)
+    pos = EigenLaw(PowerTail(1.0, 1.0), alternating=False)
     assert condition2(pos, IdealSpec.schatten(1), 10**6).status == "Out"
     ces_pos = cesaro_sequence(pos, 10**6)
     n2, n1 = 10**6, 5 * 10**5

@@ -23,7 +23,7 @@ from comspect import cli
 from comspect import criterion as crit
 from comspect.errors import NumericalError
 from comspect.ideals import EigenLaw, IdealSpec
-from comspect.sequences import DERIVED_SLACK, STORED_SLACK, PowerTail, ScalarSequence
+from comspect.sequences import DERIVED_SLACK, STORED_SLACK, GeometricTail, PowerTail, ScalarSequence
 from comspect.spectral import EigenSequence
 
 # ---------------------------------------------------------------------------
@@ -427,19 +427,24 @@ def test_built_witnesses_always_keep_up(vals):
 # laws with the length of their witness prefix (the criterion takes 2,000
 # terms; these keep the grid under the breakpoint cap and the oracle quick)
 LAWS = [
-    (EigenLaw("power", 1.0, a=0.5), 300),
-    (EigenLaw("power", 1.0, a=1.0, alternating=True), 300),
-    (EigenLaw("power", 2.0, a=1.5), 300),
-    (EigenLaw("power", 1.0, a=1.5, alternating=True), 300),
-    (EigenLaw("power", 0.3, a=3.0), 30),
-    (EigenLaw("geometric", 1.0, q=0.5, alternating=True), 12),
-    (EigenLaw("geometric", 5.0, q=0.9), 60),
+    (EigenLaw(PowerTail(1.0, 0.5)), 300),
+    (EigenLaw(PowerTail(1.0, 1.0), alternating=True), 300),
+    (EigenLaw(PowerTail(2.0, 1.5)), 300),
+    (EigenLaw(PowerTail(1.0, 1.5), alternating=True), 300),
+    (EigenLaw(PowerTail(0.3, 3.0)), 30),
+    (EigenLaw(GeometricTail(1.0, 0.5), alternating=True), 12),
+    (EigenLaw(GeometricTail(5.0, 0.9)), 60),
 ]
 
 
-@pytest.mark.parametrize(
-    "law, terms", LAWS, ids=lambda x: f"{x.kind}-{x.a or x.q}-{x.alternating}" if isinstance(x, EigenLaw) else str(x)
-)
+def _law_id(x):
+    if not isinstance(x, EigenLaw):
+        return str(x)
+    kind, shape = ("power", x.tail.a) if isinstance(x.tail, PowerTail) else ("geometric", x.tail.q)
+    return f"{kind}-{shape}-{x.alternating}"
+
+
+@pytest.mark.parametrize("law, terms", LAWS, ids=_law_id)
 def test_law_witnesses_match_full_grid(law, terms):
     lam = EigenSequence(law.prefix_values(terms))
     _, t5 = _witnesses(lam)

@@ -138,6 +138,11 @@ class TestCriterion:
             ("nuclear:p=1", "input error: unknown ideal family 'nuclear'"),
             ("schatten", "input error: cannot parse ideal spec 'schatten'"),
             ("custom:p=1", "input error: unknown ideal family 'custom'"),
+            # p is the one key: another key, a repeated p or a trailing comma is refused
+            ("schatten:p=1,q=7", "input error: cannot parse ideal spec 'schatten:p=1,q=7'"),
+            ("schatten:q=7,p=1", "input error: cannot parse ideal spec 'schatten:q=7,p=1'"),
+            ("weaklp:p=1,p=2", "input error: cannot parse ideal spec 'weaklp:p=1,p=2'"),
+            ("schatten:p=1,", "input error: cannot parse ideal spec 'schatten:p=1,'"),
         ],
     )
     @pytest.mark.parametrize("command", ["criterion", "stability"])
@@ -635,6 +640,39 @@ class TestSequenceSchemaLines:
     def test_stability_input_errors(self, tmp_path, capsys, doc, line):
         TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", "schatten:p=1"], doc, 2, line)
 
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({"kind": "power", "c": -1, "a": 1}, "input error: power tail requires c > 0 and a > 0"),
+            ({"kind": "power", "c": 1, "a": 0, "alternating": True}, "input error: power tail requires c > 0 and a > 0"),
+            ({"kind": "geometric", "c": 1, "q": 1.5}, "input error: geometric tail requires c > 0 and 0 < q < 1"),
+        ],
+        ids=["power-c", "power-a-alt", "geometric-q"],
+    )
+    def test_criterion_law_errors(self, tmp_path, capsys, doc, line):
+        # a decay law is built from its tail, so criterion and stability print the same line
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["criterion", "--ideal", "schatten:p=1"], doc, 2, line)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "power", "c": 1, "a": 2, "alternating": True},
+            {"kind": "geometric", "c": 1, "q": 0.5, "alternating": True},
+            {"kind": "finite", "values": [2, 1], "alternating": True},
+            {"kind": "power", "c": 1, "a": 2, "alternating": 1},
+        ],
+        ids=["power", "geometric", "finite", "power-int-flag"],
+    )
+    def test_stability_refuses_alternating(self, tmp_path, capsys, doc):
+        line = "input error: field 'alternating' must be false for a nonnegative sequence"
+        TestWarningFreeProbes._assert_quiet(tmp_path, capsys, ["stability", "--ideal", "schatten:p=1"], doc, 2, line)
+
+    def test_stability_accepts_alternating_false(self, tmp_path, capsys):
+        args = ["stability", "--ideal", "schatten:p=1", "--n-max", "2000"]
+        law = {"kind": "power", "c": 1, "a": 2}
+        plain = TestWarningFreeProbes._assert_quiet(tmp_path, capsys, args, law, 0, "")
+        assert TestWarningFreeProbes._assert_quiet(tmp_path, capsys, args, {**law, "alternating": False}, 0, "") == plain
+
 
 class TestWeakLpLawCells:
     """weak-lp `criterion` on symbolic laws at the default 10^6-term prefix.
@@ -727,7 +765,7 @@ class TestImportGraph:
         assert r.stdout.strip() == b"[]"
 
     def test_sequence_modules_load_no_scipy(self):
-        # gammaln and the Hurwitz zeta are in-module ports, and mpmath loads on first use
+        # gammaln and the Hurwitz zeta are in-module ports
         code = "import sys, comspect.ideals, comspect.sequences; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=PKG_DIR)
         assert r.returncode == 0, r.stderr
@@ -765,13 +803,15 @@ class TestImportGraph:
         "args",
         [
             ["criterion", "-i", '{"kind": "finite", "values": [1, 0.5]}', "--ideal", "schatten:p=1"],
+            ["criterion", "-i", '{"kind": "power", "c": 1, "a": 0.5, "alternating": true}', "--ideal", "schatten:p=1"],
             ["stability", "-i", '{"kind": "power", "c": 1, "a": 3}', "--ideal", "schatten:p=0.5"],
             ["verify", "--suite", "prop3_2", "--trials", "1"],
         ],
     )
     def test_tail_law_commands_load_numpy_only(self, tmp_path, args):
         # the harmonic witness of criterion, the geometric means and Schatten sums
-        # of stability and prop3_2 need log-gamma and the Hurwitz zeta
+        # of stability and prop3_2 need log-gamma and the Hurwitz zeta, and an
+        # alternating law's partial-sum limit needs eta(a)
         doc = next((a for a in args if a.startswith("{")), None)
         if doc is not None:
             path = tmp_path / "in.json"
@@ -790,19 +830,24 @@ class TestImportGraph:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == b"[]"
 
-    def test_package_source_has_no_scipy_import(self):
+    def test_package_imports_numpy_and_the_standard_library_only(self):
+        # numpy is the one runtime dependency: scipy and mpmath are test oracles
         import ast
         import pathlib
 
         import comspect
 
+        allowed = set(sys.stdlib_module_names) | {"numpy", "comspect"}
         found = []
         for source in sorted(pathlib.Path(comspect.__file__).parent.rglob("*.py")):
             for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
-                    found += [(source.name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
-                elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                    found.append((source.name, node.module))
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: the package
+                    names = [node.module]
+                else:
+                    continue
+                found += [(source.name, name) for name in names if name.split(".")[0] not in allowed]
         assert found == []
 
     def test_every_export_resolves(self):

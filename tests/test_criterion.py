@@ -47,7 +47,7 @@ def _tight_witness(g: float):
 
 class TestCondition2:
     def test_alternating_harmonic(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
         assert condition2(law, IdealSpec.schatten(1), 10**5).status == "Out"
         assert condition2(law, IdealSpec.schatten(2), 10**5).status == "In"
 
@@ -233,16 +233,16 @@ class TestPaperInvariants:
 
 class TestCommutatorMembership:
     def test_symbolic_alternating_harmonic(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
-        report = commutator_membership(law, IdealSpec.schatten(1), prefix_length=10**5, witness_prefix=300)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
+        report = commutator_membership(law, IdealSpec.schatten(1), prefix_length=10**5)
         assert report.verdict == "NotInComJ"
         assert report.condition4.holds and report.condition5.holds
 
     def test_symbolic_harmonic(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=False)
-        report = commutator_membership(law, IdealSpec.schatten(1), prefix_length=10**5, witness_prefix=300)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=False)
+        report = commutator_membership(law, IdealSpec.schatten(1), prefix_length=10**5)
         assert report.verdict == "NotInComJ"
-        report2 = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**5, witness_prefix=300)
+        report2 = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**5)
         assert report2.verdict == "InComJ"
 
     def test_matrix_path_with_split_report(self, rng):
@@ -334,10 +334,10 @@ class TestSharedEigenData:
         assert report.witness_scale == report.witness_sequence.values.size == 3
 
     def test_law_witness_scale_is_its_sequence_length(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
-        report = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**4, witness_prefix=300)
-        assert report.witness_scale == report.witness_sequence.values.size == 300
-        assert np.array_equal(report.witness_sequence.values, law.prefix_values(300))
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
+        report = commutator_membership(law, IdealSpec.schatten(2), prefix_length=10**4)
+        assert report.witness_scale == report.witness_sequence.values.size == 2000
+        assert np.array_equal(report.witness_sequence.values, law.prefix_values(2000))
 
 
 class TestWitnessShape:

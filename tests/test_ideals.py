@@ -23,7 +23,15 @@ from comspect.ideals import (
     max_envelope,
     membership,
 )
-from comspect.sequences import DERIVED_SLACK, PowerTail, ScalarSequence, _floor_index, log_factorials, round_sig
+from comspect.sequences import (
+    DERIVED_SLACK,
+    GeometricTail,
+    PowerTail,
+    ScalarSequence,
+    _floor_index,
+    log_factorials,
+    round_sig,
+)
 from comspect.spectral import EigenSequence
 
 
@@ -153,20 +161,20 @@ class TestCesaro:
 
     def test_alternating_harmonic_limit(self):
         # 10^6-term prefix: n*c_n converges to ln 2
-        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
         ces = cesaro_sequence(law, 10**6)
         n = ces.prefix.size
         assert n * ces.prefix[-1] == pytest.approx(math.log(2), abs=1e-5)
         assert ces.tail.c == pytest.approx(math.log(2), rel=1e-12)
 
     def test_alternating_harmonic_verdicts(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=True)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=True)
         ces = cesaro_sequence(law, 10**5)
         assert cesaro_membership(ces, IdealSpec.schatten(1)).status == "Out"
         assert cesaro_membership(ces, IdealSpec.schatten(2)).status == "In"
 
     def test_positive_harmonic_log_law(self):
-        law = EigenLaw("power", 1.0, a=1.0, alternating=False)
+        law = EigenLaw(PowerTail(1.0, 1.0), alternating=False)
         ces = cesaro_sequence(law, 10**5)
         assert ces.log_tail_coefficient == 1.0
         assert cesaro_membership(ces, IdealSpec.schatten(1)).status == "Out"
@@ -264,19 +272,19 @@ def _oracle_lists():
 
 
 _ORACLE_LAWS = [
-    (EigenLaw("power", c, a=a, alternating=alt), n)
+    (EigenLaw(PowerTail(c, a), alternating=alt), n)
     for c, a in [(1.0, 0.5), (2.0, 1.0), (1.0, 1.5), (0.5, 3.0), (1e-320, 3.0)]
     for alt in (False, True)
     for n in (1, 37)
 ] + [
-    (EigenLaw("geometric", c, q=q, alternating=alt), n)
+    (EigenLaw(GeometricTail(c, q), alternating=alt), n)
     for c, q in [(1.0, 0.5), (3.0, 0.9)]
     for alt in (False, True)
     for n in (1, 37)
 ] + [
-    (EigenLaw("power", 1.0, a=1.5), 3000),
-    (EigenLaw("power", 1.0, a=0.5, alternating=True), 3000),
-    (EigenLaw("geometric", 1.0, q=0.5, alternating=True), 3000),
+    (EigenLaw(PowerTail(1.0, 1.5)), 3000),
+    (EigenLaw(PowerTail(1.0, 0.5), alternating=True), 3000),
+    (EigenLaw(GeometricTail(1.0, 0.5), alternating=True), 3000),
 ]
 
 
@@ -309,7 +317,7 @@ class TestCesaroMembershipOracle:
         # took 0 * inf there and leaked a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdict = condition2(EigenLaw("power", 1e-320, a=3.0), IdealSpec.weak_lp(1))
+            verdict = condition2(EigenLaw(PowerTail(1e-320, 3.0)), IdealSpec.weak_lp(1))
         assert verdict.status == "In"
         assert verdict.evidence["weak_sup"] == float.fromhex("0x0.00000000012fbp-1022")
 

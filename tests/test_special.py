@@ -1,18 +1,21 @@
-"""The in-module log-gamma and Hurwitz zeta against scipy.special, bit for bit.
+"""The in-module special functions against their oracles, bit for bit.
 
 `sequences.gammaln` and `sequences.hurwitz_zeta` port the cephes routines
 behind `scipy.special.gammaln` and `scipy.special.zeta`, so scipy stays the
 oracle here: every comparison is byte for byte.  The Schatten-sum pins were
-computed with scipy's own functions.
+computed with scipy's own functions.  `ideals._eta_or_zeta`, the power laws'
+partial-sum limits, has mpmath as its oracle.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from comspect import sequences
+from comspect.ideals import _eta_or_zeta
 from comspect.sequences import FactorialPowerTail, PowerTail, gammaln, hurwitz_zeta, log_factorials
 
 EDGES = [1, 2, 12, 13, 14, 999, 1000, 1001, 1e8 - 1, 1e8, 1e8 + 1, 2.0**53, 2.0**53 + 2]
@@ -126,3 +129,35 @@ def test_schatten_sum_pins(monkeypatch, filled, law, args, pin):
         log_factorials(200_000)
     c, a, p, start = args
     assert law(c, a).schatten_sum(p, start).hex() == pin
+
+
+def _mpmath_limit(a, zeta, dps):
+    with mpmath.workdps(dps):  # 15 digits: mpmath's default 53 bits
+        return float(mpmath.zeta(a) if zeta else mpmath.altzeta(a))
+
+
+class TestEtaZeta:
+    """eta(a) and zeta(a) are the 40-digit sums rounded once: mpmath's float
+    wherever that float is correctly rounded, and 60-digit mpmath rounded
+    once everywhere."""
+
+    # at 53 bits mpmath returns ln 2 for eta(a) with 0 < |a - 1| below ~1e-11
+    EDGES = [math.nextafter(1.0, -math.inf), math.nextafter(1.0, math.inf), 1 - 1e-12, 1 + 1e-12]
+    EDGES += [1e-8, 0.5, 1.0, 2.0, 709.0, 800.0, 1e4]
+
+    def test_equals_mpmath(self):
+        rng = np.random.default_rng(20261020)
+        uniform = 15.0 - rng.uniform(0.0, 14.99, 1000)  # (0.01, 15]
+        log_uniform = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 1000))
+        for a in uniform.tolist() + log_uniform.tolist() + self.EDGES:
+            for zeta in (False, True) if a > 1 else (False,):
+                got = _eta_or_zeta.__wrapped__(a, zeta)  # uncached
+                assert got == _mpmath_limit(a, zeta, 60), (a, zeta)
+                if abs(a - 1) > 1e-10:
+                    assert got == _mpmath_limit(a, zeta, 15), (a, zeta)
+
+    def test_known_values(self):
+        assert _eta_or_zeta(1.0, False) == math.log(2)
+        assert _eta_or_zeta(2.0, True) == math.pi**2 / 6
+        assert _eta_or_zeta(2.0, False) == math.pi**2 / 12
+        assert _eta_or_zeta(0.5, False).hex() == "0x1.35b54665c805ap-1"
