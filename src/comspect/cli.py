@@ -104,55 +104,60 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, path: str | None) -> str:
+    """Write doc with its schemaVersion as canonical JSON; returns the text."""
+    from .serialize import SCHEMA_VERSION, canonical_json
+
+    text = canonical_json({"schemaVersion": SCHEMA_VERSION, **doc})
+    _write(text, path)
+    return text
+
+
 def _cmd_spectrum(args) -> int:
-    from .serialize import SCHEMA_VERSION, canonical_json, complex_pair, load_json_file, matrix_from_json
+    from .serialize import complex_pair, load_json_file, matrix_from_json
     from .spectral import eigenvalue_sequence, singular_sequence
 
     m = matrix_from_json(load_json_file(args.input))
     eig = eigenvalue_sequence(m)
     sing = singular_sequence(m)
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "n": int(m.shape[0]),
         "eigenvalues": [complex_pair(z) for z in eig.values],
         "singularValues": list(sing.prefix),
     }
-    _write(canonical_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
 def _cmd_functional(args) -> int:
     from .cutoffs import default_cutoff_pair
     from .functionals import functional_report
-    from .serialize import SCHEMA_VERSION, canonical_json, complex_pair, load_json_file, matrix_from_json
+    from .serialize import complex_pair, load_json_file, matrix_from_json
 
     m = matrix_from_json(load_json_file(args.input))
     rep = functional_report(m, default_cutoff_pair())
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "nu": rep.nu,
         "mu": rep.mu,
         "chi": complex_pair(rep.chi),
         "chiPhi": complex_pair(rep.chi_phi),
     }
-    _write(canonical_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
 def _cmd_cutoff_report(args) -> int:
     from .cutoffs import default_cutoff_pair, laplacian_grid_check
-    from .serialize import SCHEMA_VERSION, canonical_json
 
     pair = default_cutoff_pair()
     minimum = laplacian_grid_check(pair, 0.5, 10.0, args.grid_size)
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "c1": pair.c1,
         "psi1": pair.psi.value_at_one,
         "psiSlope": pair.psi.slope_at_one,
         "minLaplacian": minimum,
     }
-    _write(canonical_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -191,20 +196,12 @@ def _check_json(check) -> dict:
 def _cmd_criterion(args) -> int:
     from .criterion import commutator_membership
     from .ideals import IdealSpec
-    from .serialize import (
-        SCHEMA_VERSION,
-        canonical_json,
-        eigen_input_from_json,
-        load_json_file,
-        sequence_summary,
-        verdict_to_json,
-    )
+    from .serialize import eigen_input_from_json, load_json_file, sequence_summary, verdict_to_json
 
     ideal = IdealSpec.parse(args.ideal)
     source = eigen_input_from_json(load_json_file(args.input))
     report = commutator_membership(source, ideal, prefix_length=args.prefix_length)
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "verdict": report.verdict,
         "condition2": verdict_to_json(report.condition2),
         "condition3Witness": sequence_summary(report.condition3_witness),
@@ -226,7 +223,7 @@ def _cmd_criterion(args) -> int:
         }
     else:
         doc["hermitianSplit"] = None
-    _write(canonical_json(doc), args.output)
+    _emit(doc, args.output)
     if args.emit_table:
         _emit_cu_table(args.emit_table, report, args.table_rows)
     return 0
@@ -234,13 +231,12 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_stability(args) -> int:
     from .ideals import IdealSpec, check_geometric_stability, dyadic_series_envelope, geometric_mean_seq
-    from .serialize import SCHEMA_VERSION, canonical_json, load_json_file, scalar_sequence_from_json, verdict_to_json
+    from .serialize import load_json_file, scalar_sequence_from_json, verdict_to_json
 
     ideal = IdealSpec.parse(args.ideal)
     seq = scalar_sequence_from_json(load_json_file(args.input))
     report = check_geometric_stability(seq, ideal, n_max=args.n_max)
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "inputVerdict": verdict_to_json(report.input_verdict),
         "meanVerdict": verdict_to_json(report.mean_verdict),
         "theta": report.theta,
@@ -250,20 +246,19 @@ def _cmd_stability(args) -> int:
         "worstChainMargin": report.worst_chain_margin,
         "nChecked": report.n_checked,
     }
-    _write(canonical_json(doc), args.output)
+    _emit(doc, args.output)
     if args.emit_table:
         t = geometric_mean_seq(seq)
         u = dyadic_series_envelope(seq, report.theta, args.table_rows)
-        _write_table(args.emit_table, args.table_rows, {"s_n": seq.value, "t_n": t.value, "u_n": u.value})
+        _write_table(args.emit_table, args.table_rows, {"s_n": seq.value, "t_n": t.value, "u_n": lambda n: u[n - 1]})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from .serialize import SCHEMA_VERSION, canonical_json
     from .verify import SuiteConfig, run_suite, suite_names
 
     if args.list:
-        _write(canonical_json({"schemaVersion": SCHEMA_VERSION, "suites": suite_names()}), args.output)
+        _emit({"suites": suite_names()}, args.output)
         return 0
     cfg = SuiteConfig(
         suite=args.suite,
@@ -275,7 +270,6 @@ def _cmd_verify(args) -> int:
     )
     report = run_suite(cfg)
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "suite": report.suite,
         "trials": report.trials,
         "tolerance": report.tolerance,
@@ -285,11 +279,9 @@ def _cmd_verify(args) -> int:
         "informativeTrials": report.informative_trials,
         "passed": report.passed,
     }
-    text = canonical_json(doc)
-    _write(text, args.output)
+    text = _emit(doc, args.output)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(text, args.json_out)
     return 0 if report.passed else 1
 
 
@@ -311,7 +303,7 @@ def main(argv=None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
-    except (SchemaError, ValueError, NotImplementedError) as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -42,6 +42,7 @@ from .sequences import (
     ScalarSequence,
     exceeds,
     exceeds_scaled,
+    require_finite,
     round_sig,
 )
 from .spectral import (
@@ -162,10 +163,9 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
         if not beyond[0]:
             raise NumericalError("tail breakpoint enumeration exceeded its cap")
         # the tail's count grows without bound, so the scan needs a finite end
-        if math.isinf(alpha_cap):
-            raise NumericalError(
-                "the alpha scan's closing scale 2*max(1/min modulus, alpha_star, 1) overflows the float range"
-            )
+        require_finite(
+            alpha_cap, "the alpha scan's closing scale 2*max(1/min modulus, alpha_star, 1) overflows the float range"
+        )
         # the steps move m/c by under 4 ulps relative, less than one position
         # for the m < 2**50 met here: position floor(alpha_cap*c) + 2 is beyond
         # (alpha_cap*c overflows only when c/last underflows to 0)
@@ -173,7 +173,6 @@ def _alpha_grid(levels: np.ndarray, t: ScalarSequence, alpha_star: float | None)
         pts, beyond = breakpoints(np.arange(lo, stop + 1, dtype=float))
         parts.append(pts[: beyond.argmax()])
     grid = np.unique(np.concatenate(parts))
-    grid = grid[grid <= alpha_cap]
     return (grid if grid.size else np.ones(1)), alpha_cap
 
 

@@ -63,21 +63,16 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_d1(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
+def _bump_jet(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b, b' = b/t^2 and b'' = b(1-2t)/t^4, the derivatives 0 where exp
+    already underflowed (avoids inf * 0)."""
     b = _bump(t)
-    live = b > 0  # exp already underflowed elsewhere; avoids inf * 0
-    out[live] = b[live] / t[live] ** 2
-    return out
-
-
-def _bump_d2(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    b = _bump(t)
+    b1, b2 = np.zeros_like(t), np.zeros_like(t)
     live = b > 0
-    tl = t[live]
-    out[live] = b[live] * (1.0 - 2.0 * tl) / tl**4
-    return out
+    bl, tl = b[live], t[live]
+    b1[live] = bl / tl**2
+    b2[live] = bl * (1.0 - 2.0 * tl) / tl**4
+    return b, b1, b2
 
 
 class SmoothStep:
@@ -95,30 +90,26 @@ class SmoothStep:
         return out if out.ndim else float(out)
 
     def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        mid = (x > 0.0) & (x < 1.0)
-        if np.any(mid):
-            xm = x[mid]
-            bx, bc = _bump(xm), _bump(1.0 - xm)
-            n1 = _bump_d1(xm) * bc + bx * _bump_d1(1.0 - xm)
-            out[mid] = n1 / (bx + bc) ** 2
+        out = self._derivatives(x)[0]
         return out if out.ndim else float(out)
 
     def d2(self, x):
+        out = self._derivatives(x)[1]
+        return out if out.ndim else float(out)
+
+    def _derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(phi', phi'') at x, from one evaluation of b, b' and b'' at x and 1 - x."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        d1, d2 = np.zeros_like(x), np.zeros_like(x)
         mid = (x > 0.0) & (x < 1.0)
         if np.any(mid):
             xm = x[mid]
-            bx, bc = _bump(xm), _bump(1.0 - xm)
-            b1x, b1c = _bump_d1(xm), _bump_d1(1.0 - xm)
+            (bx, b1x, b2x), (bc, b1c, b2c) = _bump_jet(xm), _bump_jet(1.0 - xm)
             d = bx + bc
             n1 = b1x * bc + bx * b1c
-            n1p = _bump_d2(xm) * bc - bx * _bump_d2(1.0 - xm)
-            dp = b1x - b1c
-            out[mid] = n1p / d**2 - 2.0 * n1 * dp / d**3
-        return out if out.ndim else float(out)
+            d1[mid] = n1 / d**2
+            d2[mid] = (b2x * bc - bx * b2c) / d**2 - 2.0 * n1 * (b1x - b1c) / d**3
+        return d1, d2
 
 
 def _psi_second_scalar(x: float) -> float:
@@ -207,10 +198,9 @@ class ConvexCorrector:
     def __init__(self, phi: SmoothStep):
         self._phi = phi
 
-        def second(x):
-            x = np.asarray(x, dtype=float)
-            out = np.exp(x) * (np.abs(phi.d2(x)) + 2.0 * np.abs(phi.d1(x)))
-            return np.where(x < 0.0, 0.0, out)
+        def second(x):  # 0 outside (0, 1), where phi' and phi'' are
+            d1, d2 = phi._derivatives(x)
+            return np.exp(x) * (np.abs(d2) + 2.0 * np.abs(d1))
 
         self.second = second
 
@@ -260,7 +250,7 @@ class ConvexCorrector:
         else:
             out[above] = self.slope_at_one
         for lo, hi, s0, s1 in self._pieces:
-            sel = (x >= lo) & (x < hi) if hi < 1.0 else (x >= lo) & (x < 1.0)
+            sel = (x >= lo) & (x < hi)
             if np.any(sel):
                 out[sel] = (s0 if which == 0 else s1)(x[sel])
         return out if out.ndim else float(out)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +25,15 @@ from .errors import NumericalError
 from .sequences import (
     _BLOCK,
     DERIVED_SLACK,
+    POWER_SUM_OVERFLOW,
     FactorialPowerTail,
     GeometricTail,
     PowerTail,
     ScalarSequence,
     _map,
-    finite_power_sum,
     log_factorials,
     prefix_power_sum,
+    require_finite,
     round_sig,
 )
 from .spectral import EigenSequence
@@ -83,18 +85,13 @@ class IdealSpec:
 
     @classmethod
     def parse(cls, text: str) -> "IdealSpec":
-        """Parse 'schatten:p=<v>' or 'weaklp:p=<v>': p is the one key."""
+        """Parse 'schatten:p=<v>' or 'weaklp:p=<v>': p is the one key, and
+        <v> a plain decimal (digits with an optional point, then an optional
+        exponent)."""
         family, _, value = text.partition(":p=")
-        try:
-            p = float(value)
-        except ValueError:
-            raise ValueError(f"cannot parse ideal spec {text!r}") from None
-        family = family.strip().lower()
-        if family == "schatten":
-            return cls.schatten(p)
-        if family == "weaklp":
-            return cls.weak_lp(p)
-        raise ValueError(f"unknown ideal family {family!r}")
+        if not re.fullmatch(r"[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?", value):
+            raise ValueError(f"cannot parse ideal spec {text!r}")
+        return cls(family.strip().lower(), float(value))
 
     @property
     def quasi_norm_exponent(self) -> float:
@@ -119,15 +116,11 @@ def membership(s: ScalarSequence, ideal: IdealSpec) -> MembershipVerdict:
     Exact for every supported tail law; finite sequences (zero tail) are
     always members, with the partial quasi-norm carried as evidence.
     """
-    if ideal.family == "schatten":
+    if ideal.family == "schatten":  # schatten_sum and weak_sup are finite or math.inf
         total = s.schatten_sum(ideal.p)
-        status = IN if math.isfinite(total) else OUT
-        return MembershipVerdict(
-            status, s.base_length, {"p_sum": total if math.isfinite(total) else math.inf}
-        )
+        return MembershipVerdict(IN if math.isfinite(total) else OUT, s.base_length, {"p_sum": total})
     sup = s.weak_sup(ideal.p)
-    status = IN if math.isfinite(sup) else OUT
-    return MembershipVerdict(status, s.base_length, {"weak_sup": sup})
+    return MembershipVerdict(IN if math.isfinite(sup) else OUT, s.base_length, {"weak_sup": sup})
 
 
 @functools.lru_cache
@@ -288,11 +281,10 @@ def cesaro_membership(ces: CesaroSequence, ideal: IdealSpec) -> MembershipVerdic
         evidence["p_sum"] = math.inf
         return MembershipVerdict(OUT, n, evidence)
     if tail is not None and ces.tail_exact:
-        # the tail first: one past the float range raises before the head warns
         tail_sum = tail.schatten_sum(p, n)
-        evidence["p_sum"] = finite_power_sum(prefix_power_sum(ces.prefix, p) + tail_sum)
+        evidence["p_sum"] = require_finite(prefix_power_sum(ces.prefix, p) + tail_sum, POWER_SUM_OVERFLOW)
     else:
-        evidence["p_sum" if tail is None else "p_sum_prefix"] = float(np.sum(ces.prefix**p))
+        evidence["p_sum" if tail is None else "p_sum_prefix"] = prefix_power_sum(ces.prefix, p)
     return MembershipVerdict(IN, n, evidence)
 
 
@@ -305,8 +297,6 @@ def max_envelope(lam: EigenSequence) -> ScalarSequence:
     """
     means, total = lam.cesaro_means, lam.net_total
     n = means.size
-    if n == 0:
-        return ScalarSequence(np.empty(0))
     # suffix maximum of the stored means, then the tail supremum
     env = np.maximum.accumulate(means[::-1])[::-1]
     env = np.maximum(env, total / (n + 1))
@@ -341,14 +331,13 @@ def geometric_mean_seq(s: ScalarSequence) -> ScalarSequence:
     raise NotImplementedError("geometric means of mixed prefix+tail sequences")
 
 
-def dyadic_series_envelope(
-    s: ScalarSequence, theta: float, length: int = 4096
-) -> ScalarSequence:
+def dyadic_series_envelope(s: ScalarSequence, theta: float, length: int = 4096) -> np.ndarray:
     """Envelope u_n = sum over k >= 0 of 2^(-theta k) s_{n/2^k}.
 
     Indices follow the fractional convention (position ceil(n/2^k)); once
     n/2^k drops below 1 the remaining terms all equal s_1 and are added as a
-    closed-form geometric tail.  Returns the first ``length`` values.
+    closed-form geometric tail.  Returns the first ``length`` values, which
+    are nonincreasing, or NumericalError when one passes the float range.
 
     ``s`` is evaluated once, over positions 1..length (plus s_1 for the
     tail).  Level k adds 2^(-theta k) times head entry j to the 2^k positions
@@ -365,26 +354,27 @@ def dyadic_series_envelope(
     live = length - int(np.argmax(head[::-1] != 0)) if length else 0
     out = np.zeros(length, dtype=float)
     k = 0
-    while (1 << k) <= length:
-        step = 1 << k
-        w = 2.0 ** (-theta * k)
-        # position n >= step takes entry ceil(n/step): 0-based, out[i] gets head[i // step]
-        end = min(length, live * step)
-        rows = end // step
-        out[step - 1] += w * head[0]  # the first block from n = step on
-        whole = out[step : rows * step].reshape(rows - 1, step)  # blocks 1..rows-1, a view
-        # under 8 columns the add runs faster down the rows (order F)
-        np.add(whole, (w * head[1:rows])[:, None], out=whole, order="F" if step < 8 else "K")
-        if rows * step < end:
-            out[rows * step : end] += w * head[rows]
-        k += 1
-    s1 = float(s.value(1))
-    # tail: first k with 2^k > n is floor(log2 n) + 1 = j on the block [2^(j-1), 2^j)
-    k0 = np.arange(1, k + 1, dtype=float)
-    block = s1 * 2.0 ** (-theta * k0) / (1.0 - 2.0**-theta)
-    for j, value in enumerate(block.tolist()):
-        out[(1 << j) - 1 : (2 << j) - 1] += value
-    return ScalarSequence(out)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the result is checked once
+        while (1 << k) <= length:
+            step = 1 << k
+            w = 2.0 ** (-theta * k)
+            # position n >= step takes entry ceil(n/step): 0-based, out[i] gets head[i // step]
+            end = min(length, live * step)
+            rows = end // step
+            out[step - 1] += w * head[0]  # the first block from n = step on
+            whole = out[step : rows * step].reshape(rows - 1, step)  # blocks 1..rows-1, a view
+            # under 8 columns the add runs faster down the rows (order F)
+            np.add(whole, (w * head[1:rows])[:, None], out=whole, order="F" if step < 8 else "K")
+            if rows * step < end:
+                out[rows * step : end] += w * head[rows]
+            k += 1
+        s1 = float(s.value(1))
+        # tail: first k with 2^k > n is floor(log2 n) + 1 = j on the block [2^(j-1), 2^j)
+        k0 = np.arange(1, k + 1, dtype=float)
+        block = s1 * 2.0 ** (-theta * k0) / (1.0 - 2.0**-theta)
+        for j, value in enumerate(block.tolist()):
+            out[(1 << j) - 1 : (2 << j) - 1] += value
+    return require_finite(out, "the dyadic series envelope of a sequence overflows the float range")
 
 
 @functools.lru_cache(maxsize=4)
@@ -434,7 +424,7 @@ def check_geometric_stability(
     t = geometric_mean_seq(s)
     t_vals = t.head(n_max)  # before membership, which then reuses a power law's means
     verdict_t = membership(t, ideal)
-    u_vals = dyadic_series_envelope(s, theta, n_max).prefix
+    u_vals = dyadic_series_envelope(s, theta, n_max)
     ratio = np.divide(t_vals, u_vals, out=np.zeros_like(t_vals), where=u_vals > 0)
     empirical = float(np.max(ratio)) if n_max else 0.0
     # the displayed comparison t_n <= 2^theta n^theta (n!)^(-theta/n) u_n

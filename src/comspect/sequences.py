@@ -259,6 +259,19 @@ def _map(fn, values: np.ndarray) -> np.ndarray:
     return out
 
 
+POWER_SUM_OVERFLOW = "the p-th power sum of a sequence overflows the float range"
+WEAK_SUP_OVERFLOW = "the weak-lp supremum of a sequence overflows the float range"
+
+
+def require_finite(value, message: str):
+    """value (a float or an array), or NumericalError(message) when it holds
+    a non-finite float: a divergent sum or supremum is math.inf by decision
+    and never reaches this check."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise NumericalError(message)
+    return value
+
+
 def _floor_index(v: np.ndarray) -> np.ndarray:
     """floor(v) robust to values sitting one ulp below an integer; 0 for v < 0.
 
@@ -266,40 +279,27 @@ def _floor_index(v: np.ndarray) -> np.ndarray:
     or Python integers (object dtype) from 2**53 on, so that the sums and
     repeat multiples the counts go into cannot wrap around.
     """
-    if not np.isfinite(v).all():
-        raise NumericalError("a tail position bound (c/x or alpha*c) overflows the float range")
+    require_finite(v, "a tail position bound (c/x or alpha*c) overflows the float range")
     lifted = np.where(v < 0, 0.0, round_sig(v) + DERIVED_SLACK)
     if lifted.max(initial=0.0) < 2.0**53:  # np.floor is exact, and so is the cast
         return np.floor(lifted).astype(np.int64)
     return np.array([math.floor(u) for u in lifted.tolist()], dtype=object)
 
 
-def finite_power_sum(total: float) -> float:
-    """A convergent p-th power sum, or NumericalError when its float
-    evaluation passed the float range (a divergent sum is math.inf, and
-    never reaches this check)."""
-    if not math.isfinite(total):
-        raise NumericalError("the p-th power sum of a sequence overflows the float range")
-    return total
-
-
-def finite_weak_sup(sup: float) -> float:
-    """A finite weak-lp supremum, or NumericalError when its float evaluation
-    passed the float range (or met inf * 0), as finite_power_sum."""
-    if not math.isfinite(sup):
-        raise NumericalError("the weak-lp supremum of a sequence overflows the float range")
-    return sup
-
-
 def prefix_power_sum(values: np.ndarray, p: float) -> float:
-    """np.sum(values**p) over a finite prefix, through finite_power_sum."""
-    with np.errstate(over="ignore"):
-        return finite_power_sum(float(np.sum(values**p)))
+    """np.sum(values**p), or NumericalError when that arithmetic overflows:
+    numpy's flag, which on a finite prefix is a non-finite sum, and which a
+    prefix already holding inf does not raise."""
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sum(values**p))
+    except FloatingPointError:
+        raise NumericalError(POWER_SUM_OVERFLOW) from None
 
 
 def _pow(x: float, y: float) -> float:
     """x**y with Python's float pow, but inf where that raises OverflowError
-    (numpy's pow gives inf there), for the sums and suprema finite_power_sum
+    (numpy's pow gives inf there), for the sums and suprema require_finite
     checks."""
     try:
         return x**y
@@ -347,7 +347,7 @@ class PowerTail:
         ap = round_sig(self.a * p)
         if ap <= 1:
             return math.inf
-        return finite_power_sum(_pow(self.c, p) * hurwitz_zeta(self.a * p, start + 1))
+        return require_finite(_pow(self.c, p) * hurwitz_zeta(self.a * p, start + 1), POWER_SUM_OVERFLOW)
 
     def weak_sup(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
@@ -356,7 +356,7 @@ class PowerTail:
         if ap == 1:
             return self.c
         m = start + 1
-        return finite_weak_sup(_pow(m, 1.0 / p) * self.c * _pow(m, -self.a))
+        return require_finite(_pow(m, 1.0 / p) * self.c * _pow(m, -self.a), WEAK_SUP_OVERFLOW)
 
 
 @dataclass(frozen=True)
@@ -400,13 +400,13 @@ class GeometricTail:
 
     def schatten_sum(self, p: float, start: int) -> float:
         qp = self.q**p
-        return finite_power_sum(_pow(self.c, p) * qp ** (start + 1) / (1 - qp))
+        return require_finite(_pow(self.c, p) * qp ** (start + 1) / (1 - qp), POWER_SUM_OVERFLOW)
 
     def weak_sup(self, p: float, start: int) -> float:
         # maximize m^(1/p) * c * q^m over integer m > start
         m_star = -1.0 / (p * math.log(self.q))
         cands = {start + 1, max(start + 1, math.floor(m_star)), max(start + 1, math.ceil(m_star))}
-        return finite_weak_sup(max(_pow(m, 1.0 / p) * self.c * self.q**m for m in cands))
+        return require_finite(max(_pow(m, 1.0 / p) * self.c * self.q**m for m in cands), WEAK_SUP_OVERFLOW)
 
 
 @dataclass(frozen=True)
@@ -463,16 +463,16 @@ class FactorialPowerTail:
             tail = lead * hurwitz_zeta(s, n)
         else:  # e^a past the float range: zeta(s, n) <= n^-s (1 + n/(s-1)), multiplied in logs
             tail = _pow(math.e, p * (math.log(self.c) + self.a) - s * math.log(n) + math.log1p(n / (s - 1)))
-        return finite_power_sum(head + tail)
+        return require_finite(head + tail, POWER_SUM_OVERFLOW)
 
     def weak_sup(self, p: float, start: int) -> float:
         ap = round_sig(self.a * p)
         if ap < 1:
             return math.inf
         if ap == 1:
-            return finite_weak_sup(self.c * _pow(math.e, self.a))  # m^a/(m!)^(a/m) increases to e^a
+            return require_finite(self.c * _pow(math.e, self.a), WEAK_SUP_OVERFLOW)  # m^a/(m!)^(a/m) increases to e^a
         m = np.arange(start + 1, start + 10001, dtype=float)
-        return finite_weak_sup(_weak_sup_of(m, self.value_range(start, start + 10000), p))
+        return require_finite(_weak_sup_of(m, self.value_range(start, start + 10000), p), WEAK_SUP_OVERFLOW)
 
 
 Tail = PowerTail | GeometricTail | FactorialPowerTail
@@ -658,7 +658,7 @@ class ScalarSequence:
         tail = 0.0 if self.tail is None else self.tail.schatten_sum(p, self.prefix.size)
         if tail == math.inf:
             return math.inf
-        return finite_power_sum(self.repeat * (prefix_power_sum(self.prefix, p) + tail))
+        return require_finite(self.repeat * (prefix_power_sum(self.prefix, p) + tail), POWER_SUM_OVERFLOW)
 
     def weak_sup(self, p: float) -> float:
         """sup_n n^(1/p) * value(n) over the whole sequence: math.inf when the
@@ -672,7 +672,7 @@ class ScalarSequence:
             if t == math.inf:
                 return math.inf
             sup = max(sup, _pow(self.repeat, 1.0 / p) * t)
-        return finite_weak_sup(sup)
+        return require_finite(sup, WEAK_SUP_OVERFLOW)
 
     # -- transforms ----------------------------------------------------
 

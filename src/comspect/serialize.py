@@ -50,8 +50,6 @@ def _emit(obj, out: list) -> None:
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, complex):
-        _emit([obj.real, obj.imag], out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -153,12 +151,20 @@ def _float_field(doc: dict, name: str) -> float:
     return _number(_require(doc, name), name)
 
 
+def _alternating(doc: dict, refusal: str | None) -> bool:
+    """The "alternating" flag by one rule: false or absent, or true where
+    refusal is None (a criterion power or geometric law); else SchemaError."""
+    flag = doc.get("alternating", False)
+    if flag is False or (flag is True and refusal is None):
+        return flag
+    raise SchemaError(f"field 'alternating' must be {refusal or 'true or false'}")
+
+
 def scalar_sequence_from_json(doc) -> ScalarSequence:
     """Nonnegative nonincreasing sequence: finite, power, or geometric."""
     if not isinstance(doc, dict):
         raise SchemaError("sequence document must be a JSON object")
-    if doc.get("alternating", False) is not False:
-        raise SchemaError("field 'alternating' must be false for a nonnegative sequence")
+    _alternating(doc, "false for a nonnegative sequence")
     return _sequence(doc)
 
 
@@ -179,21 +185,23 @@ def _sequence(doc: dict) -> ScalarSequence:
     raise SchemaError(f"unknown sequence kind {kind!r}")
 
 
+_NOT_A_LAW = "false for a matrix or a finite list"
+
+
 def eigen_input_from_json(doc):
     """Criterion input: a matrix, a finite eigenvalue list, or a decay law.
 
     A matrix document carries "n"/"entries"; a sequence document carries
-    "kind" with finite values allowed as numbers or [re, im] pairs, and the
-    symbolic kinds accept an optional "alternating" flag.
+    "kind" with finite values allowed as numbers or [re, im] pairs.  Only the
+    symbolic kinds may set the "alternating" flag.
     """
     if not isinstance(doc, dict):
         raise SchemaError("criterion input must be a JSON object")
     if "entries" in doc or "n" in doc:
+        _alternating(doc, _NOT_A_LAW)
         return matrix_from_json(doc)
     kind = _require(doc, "kind", str)
-    alternating = doc.get("alternating", False)
-    if not isinstance(alternating, bool):
-        raise SchemaError("field 'alternating' must be true or false")
+    alternating = _alternating(doc, _NOT_A_LAW if kind == "finite" else None)
     if kind == "finite":
         values = _require(doc, "values", list)
         vals = [

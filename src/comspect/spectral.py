@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EigensolverError, NumericalError
-from .sequences import STORED_SLACK, ScalarSequence, round_sig
+from .errors import EigensolverError
+from .sequences import STORED_SLACK, ScalarSequence, require_finite, round_sig
 
 __all__ = [
     "EigenSequence",
@@ -50,16 +50,12 @@ def validate_matrix(m) -> np.ndarray:
     return arr
 
 
+_OVERFLOW = "the {} of a finite matrix overflowed the float range"
+
+
 def _require_finite_entries(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("matrix entries must be finite")
-
-
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise NumericalError when a result computed from a finite matrix
-    overflowed the float range."""
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"the {what} of a finite matrix overflowed the float range")
 
 
 def _canonical_order(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -158,7 +154,7 @@ def _eigvals(arr: np.ndarray) -> np.ndarray:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
-    _require_finite(vals, "eigenvalues")
+    require_finite(vals, _OVERFLOW.format("eigenvalues"))
     return vals
 
 
@@ -188,7 +184,7 @@ def singular_sequence(m) -> ScalarSequence:
         s = np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix_fingerprint(arr), str(exc)) from exc
-    _require_finite(s, "singular values")
+    require_finite(s, _OVERFLOW.format("singular values"))
     return ScalarSequence(np.sort(s)[::-1])
 
 
@@ -198,6 +194,6 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         h = (arr + arr.conj().T) / 2.0
         k = (arr - arr.conj().T) / 2.0j
-    _require_finite(h, "hermitian part H")
-    _require_finite(k, "hermitian part K")
+    require_finite(h, _OVERFLOW.format("hermitian part H"))
+    require_finite(k, _OVERFLOW.format("hermitian part K"))
     return h, k

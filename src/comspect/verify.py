@@ -440,9 +440,8 @@ def _trial_prop3_2(rng, cfg, mutated: bool) -> _Trial:
     theta = 2.0 / ideal.quasi_norm_exponent
     n_scan = 20_000
     t = geometric_mean_seq(s)
-    u = dyadic_series_envelope(s, theta, n_scan)
+    u_vals = dyadic_series_envelope(s, theta, n_scan)
     t_vals = t.head(n_scan)
-    u_vals = u.prefix
     ratio = float(np.max(t_vals / u_vals))
     if mutated:
         lhs, rhs = ratio, 1.0  # claim t <= u with constant 1: false in general

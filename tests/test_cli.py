@@ -143,6 +143,13 @@ class TestCriterion:
             ("schatten:q=7,p=1", "input error: cannot parse ideal spec 'schatten:q=7,p=1'"),
             ("weaklp:p=1,p=2", "input error: cannot parse ideal spec 'weaklp:p=1,p=2'"),
             ("schatten:p=1,", "input error: cannot parse ideal spec 'schatten:p=1,'"),
+            # p is a plain decimal: no underscores, spaces, signs, inf or nan
+            ("schatten:p=1_0", "input error: cannot parse ideal spec 'schatten:p=1_0'"),
+            ("schatten:p= 2 ", "input error: cannot parse ideal spec 'schatten:p= 2 '"),
+            ("schatten:p=+1", "input error: cannot parse ideal spec 'schatten:p=+1'"),
+            ("schatten:p=inf", "input error: cannot parse ideal spec 'schatten:p=inf'"),
+            ("weaklp:p=nan", "input error: cannot parse ideal spec 'weaklp:p=nan'"),
+            ("schatten:p=1e999", "input error: schatten requires finite p > 0"),
         ],
     )
     @pytest.mark.parametrize("command", ["criterion", "stability"])
@@ -552,6 +559,44 @@ class TestOverflowingPowerSums:
         TestWarningFreeProbes._assert_quiet(tmp_path, capsys, [command, "--ideal", "schatten:p=2"], doc, 3, self.LINE)
 
 
+class TestOneLineExits:
+    """Inputs that exited 0 or 2 on a RuntimeWarning, or whose "alternating"
+    flag was ignored, exit with one line naming the failure or the field."""
+
+    POWER_SUM = "numerical failure: the p-th power sum of a sequence overflows the float range"
+    NOT_A_LAW = "input error: field 'alternating' must be false for a matrix or a finite list"
+    P1 = ["criterion", "--ideal", "schatten:p=1"]
+    P2 = ["criterion", "--ideal", "schatten:p=2"]
+
+    @pytest.mark.parametrize(
+        "args, doc, code, line",
+        [
+            (
+                ["stability", "--ideal", "schatten:p=1"],
+                {"kind": "finite", "values": [1.5e308]},
+                3,
+                "numerical failure: the dyadic series envelope of a sequence overflows the float range",
+            ),
+            # the total cancels, so the sum has no tail; it was "inf" beside status In
+            (P2, {"kind": "finite", "values": [[1e300, 0], [-1e300, 0]]}, 3, POWER_SUM),
+            (P2, {"kind": "finite", "values": [1e308, 1e308]}, 3, POWER_SUM),
+            (P1, {"kind": "finite", "values": [1, 0.5], "alternating": True}, 2, NOT_A_LAW),
+            (P1, {"n": 1, "entries": [[1, 0]], "alternating": "no"}, 2, NOT_A_LAW),
+            (P1, {"n": 1, "entries": [[1, 0]], "alternating": True}, 2, NOT_A_LAW),
+        ],
+        ids=["stability-envelope", "cancelling-pair-p2", "1e308-pair-p2", "finite-alternating", "matrix-no", "matrix-true"],
+    )
+    def test_exit_line(self, tmp_path, capsys, args, doc, code, line):
+        assert TestWarningFreeProbes._assert_quiet(tmp_path, capsys, args, doc, code, line) == ""
+
+    @pytest.mark.parametrize(
+        "doc", [{"kind": "finite", "values": [1, 0.5]}, {"n": 1, "entries": [[2, 0]]}], ids=["finite", "matrix"]
+    )
+    def test_alternating_false_is_absent(self, tmp_path, capsys, doc):
+        plain = TestWarningFreeProbes._assert_quiet(tmp_path, capsys, self.P1, doc, 0, "")
+        assert TestWarningFreeProbes._assert_quiet(tmp_path, capsys, self.P1, {**doc, "alternating": False}, 0, "") == plain
+
+
 class TestFactorialMajorantOverflow:
     """stability of a power law with a > ~709: e^a in the majorant of the
     geometric means' tail passes the float range, while their p-th power sum
@@ -888,6 +933,27 @@ class TestImportGraph:
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own
                 }
         assert sorted(f"{module}.{name}" for name, module in exported.items() if name not in used) == []
+
+
+    def test_every_traced_name_resolves(self):
+        # the benchmark's tracer (perfbench/shim.py) wraps each name of its
+        # FUNCTIONS and METHODS tables through getattr: a missing one breaks
+        # its traced runs.  The tables are read as source, not imported.
+        import ast
+        import importlib
+        import pathlib
+
+        tables = {}
+        shim = pathlib.Path(PKG_DIR, "perfbench", "shim.py")
+        for stmt in ast.parse(shim.read_text(encoding="utf-8")).body:
+            names = [getattr(t, "id", None) for t in getattr(stmt, "targets", [])]
+            if names in (["FUNCTIONS"], ["METHODS"]):
+                tables[names[0]] = ast.literal_eval(stmt.value)
+        assert sorted(tables) == ["FUNCTIONS", "METHODS"]
+        for module, attr in tables["FUNCTIONS"]:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+        for module, cls, attr in tables["METHODS"]:
+            assert callable(vars(getattr(importlib.import_module(module), cls)).get(attr)), (module, cls, attr)
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comspect.criterion import condition2
+from comspect.errors import NumericalError
 from comspect.ideals import (
     EigenLaw,
     IdealSpec,
@@ -100,6 +101,14 @@ class TestIdealSpec:
             IdealSpec.parse("banach:q=1")
         with pytest.raises(ValueError):
             IdealSpec.parse("schatten")
+
+    def test_parse_takes_p_as_a_plain_decimal(self):
+        # digits, an optional point, an optional exponent; the family may carry case and spaces
+        for text, p in (("schatten:p=2.", 2.0), (" Schatten :p=0.5", 0.5), ("weaklp:p=25e-1", 2.5), ("weaklp:p=1E+1", 10.0)):
+            assert IdealSpec.parse(text) == IdealSpec(text.partition(":")[0].strip().lower(), p)
+        for value in ("1_0", " 2", "2 ", "+1", "-1", ".5", "1e", "inf", "nan", "0x1p0", "\u0661"):
+            with pytest.raises(ValueError, match="cannot parse ideal spec"):
+                IdealSpec.parse(f"schatten:p={value}")
 
     def test_quasi_norm_exponent(self):
         assert IdealSpec.schatten(0.5).quasi_norm_exponent == 0.5
@@ -394,7 +403,7 @@ class TestDyadicEnvelope:
     def test_worked_value(self):
         u = dyadic_series_envelope(ScalarSequence.power_law(1, 1), 2.0, 8)
         expected = 0.25 + 0.125 + 0.0625 + (2.0**-6) / (1 - 0.25)
-        assert u.prefix[3] == pytest.approx(expected, rel=1e-12)
+        assert u[3] == pytest.approx(expected, rel=1e-12)
 
     def test_single_jump_closed_form(self):
         # s = (1, 0, 0, ...): u_n = sum of 2^(-theta k) over k with n/2^k <= 1
@@ -405,7 +414,7 @@ class TestDyadicEnvelope:
             closed = 2.0 ** (-theta * k0) / (1 - 2.0**-theta)
             direct = sum(2.0 ** (-theta * k) for k in range(k0, 80))
             assert closed == pytest.approx(direct, rel=1e-10)
-            assert u.prefix[n - 1] == pytest.approx(closed, rel=1e-10)
+            assert u[n - 1] == pytest.approx(closed, rel=1e-10)
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
@@ -416,7 +425,7 @@ class TestDyadicEnvelope:
         for _ in range(1000):
             vals = np.sort(rng.uniform(0, 5, int(rng.integers(1, 20))))[::-1]
             u = dyadic_series_envelope(ScalarSequence(vals), 2.0, 64)
-            assert np.all(np.diff(u.prefix) <= 1e-12)
+            assert np.all(np.diff(u) <= 1e-12)
 
     @given(
         _envelope_inputs(),
@@ -431,10 +440,10 @@ class TestDyadicEnvelope:
             expected = _per_level_envelope(s, theta, length)
             if not np.all(np.isfinite(expected)):
                 # theta below ~2^-53 leaves 1 - 2^-theta == 0: no finite envelope
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(NumericalError, match="envelope"):
                     dyadic_series_envelope(s, theta, length)
                 return
-        got = dyadic_series_envelope(s, theta, length).prefix
+        got = dyadic_series_envelope(s, theta, length)
         assert np.array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()
 
@@ -449,7 +458,7 @@ class TestDyadicEnvelope:
         for s in cases:
             theta = float(rng.choice([2.0, 4.0, rng.uniform(0.5, 6.0)]))
             expected = _per_level_envelope(s, theta, 10**5)
-            assert dyadic_series_envelope(s, theta, 10**5).prefix.tobytes() == expected.tobytes()
+            assert dyadic_series_envelope(s, theta, 10**5).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 1000])
     def test_one_head_evaluation(self, monkeypatch, length):
@@ -482,7 +491,7 @@ class TestDyadicEnvelope:
             2.0 ** (-theta * k) * float(s.value(math.ceil(n / 2**k)))
             for k in range(0, 200)
         )
-        assert u.prefix[n - 1] == pytest.approx(direct, rel=1e-9)
+        assert u[n - 1] == pytest.approx(direct, rel=1e-9)
 
 
 def _former_stability(s, ideal, n_max):
